@@ -6,7 +6,9 @@ The chain-plus-bath (dimension 512) is evolved as a closed system, the
 bath starts maximally mixed, and tracing it out yields 4096 Kraus
 operators.  Fidelity is swept against lambda = N / (A * tau_op), the
 ratio of the hyperfine decoherence time to the gate operation time:
-lambda >= 10 is enough for ~99% fidelity.
+lambda >= 10 is enough for ~99% fidelity.  The generator is constant and
+conserves total S_z, so each point is one exact exponential per
+magnetization sector (at most 126-dimensional).
 """
 
 import time
@@ -29,9 +31,9 @@ channel = sh.hyperfine_channel(sh.HyperfineBath.from_ratio(10.0, 1.0), couplings
 print(f"  kraus operators: {channel.kraus.shape[0]}")
 print(f"  completeness defect: {channel.completeness_defect():.2e}")
 
-print("\nsweeping lambda = 1..20 (200 time-ordered steps each)...")
+print("\nsweeping lambda = 1..20 (one exponential per S_z sector each)...")
 start = time.time()
-table = sh.dephasing_sweep(bath, lambdas, couplings, steps=200)
+table = sh.dephasing_sweep(bath, lambdas, couplings)
 print(f"done in {time.time() - start:.1f}s\n")
 
 for lam, f in zip(lambdas, table.fidelity):

@@ -23,9 +23,14 @@ Three perturbations are studied:
   coupling ``A/N`` per nucleus, swept against ``lambda = N / (A tau_op)``,
   the hyperfine-decoherence to gate-operation time ratio.
 
-Sweep points are independent; grids are evaluated through a thread pool
-when more than one CPU is available and results are always gathered in
-deterministic axis order.
+Sweep points are independent.  The DM and amplitude grids are evaluated
+through a thread pool when more than one CPU is available; the dephasing
+sweep evaluates its points in order, since each is a handful of small
+exponentials.  Results are always gathered in deterministic axis order.
+
+The dephasing generator is constant over the square pulse and conserves
+total S_z, so one pulse is exactly one exponential per magnetization
+sector; see :func:`dephasing_sweep`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +48,13 @@ from .errors import (
     NonUnitaryTarget,
 )
 from .gates import RegisterGate, analytic_entangler, extract_register_gate
-from .linalg import CMatrix, unitarity_defect
+from .linalg import CMatrix, expm_hermitian, unitarity_defect
 from .propagation import (
     PulsePlan,
     cyclicity_defect,
     propagator_closed_form,
     propagator_time_ordered,
     pulse_area,
-    square_pulse,
 )
 from .spin_chain import (
     ExchangeCouplings,
@@ -63,13 +67,6 @@ CYCLIC_TOL = 1e-9
 TARGET_LEAKAGE_TOL = 1e-10
 DEFAULT_STEPS = 200
 DEFAULT_DIM_CAP = 4096
-
-_I2 = np.eye(2, dtype=np.complex128)
-_SPIN = (
-    np.array([[0, 1], [1, 0]], dtype=np.complex128) / 2,
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2,
-    np.array([[1, 0], [0, -1]], dtype=np.complex128) / 2,
-)
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,12 @@ class HyperfineBath:
     def __post_init__(self):
         if self.nuclei_per_electron < 1:
             raise ValueError("need at least one nucleus per electron")
-        if self.op_time <= 0:
-            raise ValueError("op_time must be positive")
+        if not (math.isfinite(self.op_time) and self.op_time > 0):
+            raise ValueError(f"op_time must be positive and finite, got {self.op_time!r}")
+        if not math.isfinite(self.total_coupling):
+            raise ValueError(
+                f"hyperfine coupling A must be finite, got {self.total_coupling!r}"
+            )
 
     @property
     def bath_dim(self) -> int:
@@ -132,9 +133,9 @@ class HyperfineBath:
     def from_ratio(
         cls, lam: float, op_time: float, nuclei_per_electron: int = 2
     ) -> "HyperfineBath":
-        """Bath with coupling A = N / (lambda * tau_op)."""
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
+        """Bath with coupling A = N / (lambda * tau_op); lambda = inf is no bath."""
+        if not lam > 0:
+            raise ValueError(f"lambda must be positive, got {lam!r}")
         a = nuclei_per_electron / (lam * op_time)
         return cls(total_coupling=a, op_time=op_time, nuclei_per_electron=nuclei_per_electron)
 
@@ -306,11 +307,65 @@ def amplitude_noise_sweep(
     )
 
 
-def _bath_site_operator(op: CMatrix, index: int, count: int) -> CMatrix:
-    out = np.array([[1.0 + 0j]])
-    for k in range(count):
-        out = np.kron(out, op if k == index else _I2)
-    return out
+def _sector_states(nuclei: int, dim_cap: int) -> list[np.ndarray]:
+    """Basis indices of each total-S_z sector of the chain-plus-bath space.
+
+    Index ``c * 2**(3N) + b`` is ``|chain c> (x) |bath b>``; site ``p`` of
+    the ``3 + 3N`` (a, 1, 2, then the nuclei by electron) is bit
+    ``2 + 3N - p``.  Sector ``k`` holds the ascending indices with ``k``
+    spins down.
+
+    Raises
+    ------
+    DimensionOverflow
+        If ``8 * 2**(3N)`` exceeds ``dim_cap``.
+    """
+    sites = 3 + 3 * nuclei
+    dim = 1 << sites
+    if dim > dim_cap:
+        raise DimensionOverflow(
+            f"chain-plus-bath dimension {dim} exceeds cap {dim_cap}"
+        )
+    index = np.arange(dim)
+    down = sum((index >> p) & 1 for p in range(sites))
+    return [np.flatnonzero(down == k) for k in range(sites + 1)]
+
+
+def _contact_block(states: np.ndarray, nuclei: int) -> np.ndarray:
+    """Sector block of ``sum_{l,k} (1/N) S^(l) . I^(l,k)`` (real).
+
+    ``S . I = Sz Iz + (S+ I- + S- I+) / 2`` is +1/4 on aligned and -1/4 on
+    opposite spins, and exchanges opposite spins with amplitude 1/2.
+    """
+    sites = 3 + 3 * nuclei
+    block = np.zeros((len(states), len(states)))
+    diag = np.zeros(len(states))
+    for l in range(3):
+        for k in range(nuclei):
+            e_bit = sites - 1 - l
+            n_bit = sites - 4 - l * nuclei - k
+            opposite = ((states >> e_bit) ^ (states >> n_bit)) & 1
+            diag += 0.25 - 0.5 * opposite
+            flip = np.flatnonzero(opposite)
+            swapped = states[flip] ^ ((1 << e_bit) | (1 << n_bit))
+            block[np.searchsorted(states, swapped), flip] = 0.5
+    np.fill_diagonal(block, diag)
+    return block / nuclei
+
+
+def _chain_block(h0: CMatrix, states: np.ndarray, nuclei: int) -> CMatrix:
+    """Sector block of ``H0 (x) 1_bath``: chain entries between equal bath states."""
+    bits = 3 * nuclei
+    chain, bath = states >> bits, states & ((1 << bits) - 1)
+    return np.where(bath[:, None] == bath[None, :], h0[np.ix_(chain, chain)], 0.0)
+
+
+def _scatter(blocks, dim: int) -> CMatrix:
+    """Dense operator from ``(basis indices, block)`` pairs of disjoint sectors."""
+    dense = np.zeros((dim, dim), dtype=np.complex128)
+    for states, block in blocks:
+        dense[np.ix_(states, states)] = block
+    return dense
 
 
 def build_hyperfine_hamiltonian(
@@ -321,7 +376,8 @@ def build_hyperfine_hamiltonian(
     Returns the chain-plus-bath operator
     ``sum_{l,k} (A/N) S^(l) . I^(l,k)`` where electron ``l`` couples only
     to its ``N`` private nuclei; nuclei are ordered by electron (a, 1, 2).
-    The interaction conserves total magnetization.
+    The interaction conserves total magnetization; the dense matrix is
+    assembled from its total-S_z sector blocks.
 
     Raises
     ------
@@ -329,55 +385,32 @@ def build_hyperfine_hamiltonian(
         If ``8 * 2**(3N)`` exceeds ``dim_cap``.
     """
     n = bath.nuclei_per_electron
-    dim = 8 * bath.bath_dim
-    if dim > dim_cap:
-        raise DimensionOverflow(
-            f"chain-plus-bath dimension {dim} exceeds cap {dim_cap}"
-        )
-    coupling = bath.total_coupling / n
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    if coupling == 0.0:
-        return total
-    for l in range(3):
-        for k in range(n):
-            for op in _SPIN:
-                electron = _chain_site_operator(op, l)
-                nucleus = _bath_site_operator(op, l * n + k, 3 * n)
-                total += coupling * np.kron(electron, nucleus)
-    return total
-
-
-def _chain_site_operator(op: CMatrix, site: int) -> CMatrix:
-    factors = [_I2, _I2, _I2]
-    factors[site] = op
-    return np.kron(np.kron(factors[0], factors[1]), factors[2])
-
-
-def _channel_from_parts(
-    h_chain: CMatrix,
-    h_bath: CMatrix,
-    pulse: PulsePlan,
-    steps: int,
-    dim_b: int,
-) -> QuantumChannel:
-    u = propagator_time_ordered(
-        [(h_chain, pulse.envelope), (h_bath, lambda t: 1.0)],
-        pulse.duration,
-        steps,
+    sectors = _sector_states(n, dim_cap)
+    return _scatter(
+        ((s, bath.total_coupling * _contact_block(s, n)) for s in sectors),
+        8 * bath.bath_dim,
     )
-    # M_ij[s, s'] = <s, j| U |s', i> / sqrt(dim_b)
-    u4 = u.reshape(8, dim_b, 8, dim_b)
-    kraus = (
-        np.transpose(u4, (1, 3, 0, 2)).reshape(dim_b * dim_b, 8, 8)
-        / math.sqrt(dim_b)
-    )
-    return QuantumChannel(kraus=kraus)
 
 
-def _calibrated_square_pulse(bath: HyperfineBath, omega: float) -> PulsePlan:
-    return square_pulse(
-        amplitude=math.pi / (bath.op_time * omega), duration=bath.op_time
-    )
+def _pulse_sectors(
+    bath: HyperfineBath, couplings: ExchangeCouplings, dim_cap: int
+) -> list[tuple[np.ndarray, CMatrix, np.ndarray]]:
+    """Per total-S_z sector: basis indices, drive block and unit contact block.
+
+    The drive is ``amplitude * H0 (x) 1_bath`` for the square pulse
+    calibrated cyclic over ``bath.op_time``; with the static bath the
+    generator ``drive + A * contact`` is constant over the pulse.
+    """
+    values = (couplings.j1, couplings.j2, couplings.d1, couplings.d2)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"exchange couplings must be finite, got {values}")
+    amplitude = math.pi / (bath.op_time * couplings_to_polar(couplings).omega)
+    h0 = build_hamiltonians(couplings).h_eff
+    n = bath.nuclei_per_electron
+    return [
+        (s, amplitude * _chain_block(h0, s, n), _contact_block(s, n))
+        for s in _sector_states(n, dim_cap)
+    ]
 
 
 def hyperfine_channel(
@@ -392,15 +425,44 @@ def hyperfine_channel(
     ``envelope(t) * H0 (x) 1_bath + H_hyperfine`` for the square pulse
     calibrated cyclic over ``bath.op_time``; the bath starts maximally
     mixed (unpolarized nuclei), so the Kraus operators are
-    ``M_ij = <j|U|i> / sqrt(bath_dim)`` over bath basis states.
+    ``M_ij = <j|U|i> / sqrt(bath_dim)`` over bath basis states.  The
+    generator is constant, so U is one exponential per total-S_z sector,
+    scattered into the dense chain-plus-bath matrix.  ``steps`` is
+    validated but does not change the result: the midpoint product of a
+    constant generator is exactly that exponential.
     """
-    polar = couplings_to_polar(couplings)
-    pulse = _calibrated_square_pulse(bath, polar.omega)
-    h0 = build_hamiltonians(couplings).h_eff
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     dim_b = bath.bath_dim
-    h_chain = np.kron(h0, np.eye(dim_b, dtype=np.complex128))
-    h_bath = build_hyperfine_hamiltonian(bath, dim_cap=dim_cap)
-    return _channel_from_parts(h_chain, h_bath, pulse, steps, dim_b)
+    u = _scatter(
+        (
+            (s, expm_hermitian(drive + bath.total_coupling * contact, bath.op_time))
+            for s, drive, contact in _pulse_sectors(bath, couplings, dim_cap)
+        ),
+        8 * dim_b,
+    )
+    # M_ij[s, s'] = <s, j| U |s', i> / sqrt(dim_b)
+    u4 = u.reshape(8, dim_b, 8, dim_b)
+    kraus = (
+        np.transpose(u4, (1, 3, 0, 2)).reshape(dim_b * dim_b, 8, 8)
+        / math.sqrt(dim_b)
+    )
+    return QuantumChannel(kraus=kraus)
+
+
+def _register_terms(states: np.ndarray, target: CMatrix, nuclei: int):
+    """Where a sector's ancilla-|0> block lands in the overlap ``O[j, i]``.
+
+    Returns the block's positions in the sector, the flat index
+    ``j * bath_dim + i`` of each of its entries ``<s, j|U|s', i>`` and the
+    weight ``conj(V[s, s'])`` it carries.
+    """
+    bits = 3 * nuclei
+    register = np.flatnonzero(states < (4 << bits))
+    chain = states[register] >> bits
+    bath = states[register] & ((1 << bits) - 1)
+    pair = (bath[:, None] << bits) | bath[None, :]
+    return register, pair, target.conj()[np.ix_(chain, chain)]
 
 
 def dephasing_sweep(
@@ -409,39 +471,48 @@ def dephasing_sweep(
     couplings: ExchangeCouplings,
     steps: int = DEFAULT_STEPS,
     dim_cap: int = DEFAULT_DIM_CAP,
-    workers: int | None = None,
 ) -> SweepTable:
     """Fidelity versus the decoherence-to-operation time ratio.
 
     ``lambda`` is swept by varying the total coupling A at fixed
     ``op_time`` so the pulse calibration never changes.  Requires
     couplings at the maximally entangling point theta = pi/4.
+
+    Each point exponentiates ``drive + A * contact`` once per total-S_z
+    sector and contracts the process fidelity of the Kraus family
+    ``M_ij = <j|U|i> / sqrt(d_b)`` directly from the ancilla-|0> blocks,
+
+        F = sum_{ij} |sum_{s,s'} conj(V[s, s']) <s, j|U|s', i>|^2 / (16 d_b),
+
+    without forming U or the Kraus operators.  ``steps`` is validated and
+    recorded in the config but does not change the result, since the
+    midpoint product of a constant generator is exactly one exponential.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     polar = couplings_to_polar(couplings)
-    if abs(polar.theta - math.pi / 4) > 1e-9:
-        raise ValueError("dephasing_sweep requires theta = pi/4 couplings")
-    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
+    if not abs(polar.theta - math.pi / 4) <= 1e-9:
+        raise ValueError(
+            f"dephasing_sweep requires theta = pi/4 couplings, got theta = {polar.theta!r}"
+        )
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
     lambdas = tuple(float(x) for x in lambdas)
-    # The pulse calibration and both operator templates are independent of
-    # lambda: only the overall bath coupling A = N / (lambda * tau) varies.
-    pulse = _calibrated_square_pulse(bath_template, polar.omega)
+    n = bath_template.nuclei_per_electron
+    tau = bath_template.op_time
+    # Only the overall bath coupling A = N / (lambda * tau) varies with
+    # lambda; every lambda is checked before any work starts.
+    totals = [HyperfineBath.from_ratio(lam, tau, n).total_coupling for lam in lambdas]
+    sectors = _pulse_sectors(bath_template, couplings, dim_cap)
+    terms = [_register_terms(s, target, n) for s, _, _ in sectors]
     dim_b = bath_template.bath_dim
-    h_chain = np.kron(
-        build_hamiltonians(couplings).h_eff, np.eye(dim_b, dtype=np.complex128)
-    )
-    unit_bath = replace(bath_template, total_coupling=1.0)
-    h_bath_unit = build_hyperfine_hamiltonian(unit_bath, dim_cap=dim_cap)
 
-    def one(lam):
-        bath = HyperfineBath.from_ratio(
-            lam, bath_template.op_time, bath_template.nuclei_per_electron
-        )
-        channel = _channel_from_parts(
-            h_chain, bath.total_coupling * h_bath_unit, pulse, steps, dim_b
-        )
-        return process_fidelity(target, channel)
-
-    values = _map_grid(one, list(lambdas), workers)
+    values = []
+    for a_total in totals:
+        overlap = np.zeros(dim_b * dim_b, dtype=np.complex128)
+        for (_, drive, contact), (register, pair, weight) in zip(sectors, terms):
+            u = expm_hermitian(drive + a_total * contact, tau)
+            np.add.at(overlap, pair, weight * u[np.ix_(register, register)])
+        values.append(float(np.vdot(overlap, overlap).real / (16.0 * dim_b)))
     return SweepTable(
         axis_names=("lambda",),
         axis_values=(lambdas,),

@@ -237,3 +237,9 @@ def test_run_config_defaults():
     assert cfg.lambdas == tuple(float(v) for v in range(1, 21))
     assert cfg.nuclei_per_electron == 2
     assert cfg.steps == 200
+
+
+def test_sweep_dephasing_nan_lambda_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "sweep-dephasing", {"lambdas": [math.nan]}) == 3
+    assert "lambda" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

@@ -1,7 +1,11 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinholonomy import (
     DimensionOverflow,
@@ -24,6 +28,12 @@ from spinholonomy import (
     square_pulse,
 )
 from spinholonomy.linalg import hermiticity_defect, max_abs
+
+from helpers import (
+    dense_dephasing_fidelity,
+    dense_hyperfine_hamiltonian,
+    symmetric_couplings,
+)
 
 SYM = ExchangeCouplings(1.0, 1.0)
 
@@ -200,6 +210,108 @@ def test_dephasing_sweep_respects_dim_cap():
     bath = HyperfineBath(total_coupling=0.0, op_time=1.0, nuclei_per_electron=2)
     with pytest.raises(DimensionOverflow):
         dephasing_sweep(bath, [5.0], SYM, dim_cap=100)
+
+
+# --- sector engine against the dense oracle ------------------------------
+
+SCALES = st.floats(0.5, 2.0)
+DM_ANGLES = st.floats(-0.5, 0.5)
+OP_TIMES = st.floats(0.5, 2.0)
+LAMBDAS = st.floats(1.0, 20.0)
+
+
+@pytest.mark.parametrize("nuclei", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(scale=SCALES, phi1=DM_ANGLES, phi2=DM_ANGLES, op_time=OP_TIMES, lam=LAMBDAS)
+def test_dephasing_sweep_matches_dense_oracle(nuclei, scale, phi1, phi2, op_time, lam):
+    couplings = symmetric_couplings(scale, phi1, phi2)
+    template = HyperfineBath(0.0, op_time, nuclei)
+    table = dephasing_sweep(template, [lam], couplings)
+    bath = HyperfineBath.from_ratio(lam, op_time, nuclei)
+    assert abs(table.fidelity[0] - dense_dephasing_fidelity(bath, couplings)) <= 1e-12
+
+
+@pytest.mark.parametrize("nuclei", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(coupling=st.floats(-2.0, 2.0))
+def test_hyperfine_hamiltonian_matches_dense_oracle(nuclei, coupling):
+    bath = HyperfineBath(coupling, 1.0, nuclei)
+    assert max_abs(build_hyperfine_hamiltonian(bath) - dense_hyperfine_hamiltonian(bath)) <= 1e-15
+
+
+@settings(max_examples=15, deadline=None)
+@given(scale=SCALES, phi1=DM_ANGLES, phi2=DM_ANGLES, op_time=OP_TIMES, lam=LAMBDAS)
+def test_channel_complete_and_consistent_with_sweep(scale, phi1, phi2, op_time, lam):
+    couplings = symmetric_couplings(scale, phi1, phi2)
+    channel = hyperfine_channel(HyperfineBath.from_ratio(lam, op_time, 1), couplings)
+    assert channel.completeness_defect() <= 1e-9
+    polar = couplings_to_polar(couplings)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
+    swept = dephasing_sweep(HyperfineBath(0.0, op_time, 1), [lam], couplings)
+    assert abs(process_fidelity(target, channel) - swept.fidelity[0]) <= 1e-12
+
+
+def test_dephasing_n3_point_memory_and_time():
+    # The dense N = 3 operator alone is one 4096^2 complex matrix (256 MiB).
+    bath = HyperfineBath(total_coupling=0.0, op_time=1.0, nuclei_per_electron=3)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        table = dephasing_sweep(bath, [10.0], SYM)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    assert elapsed < 30.0
+    assert 0.0 <= table.fidelity[0] <= 1.0
+
+
+# --- non-finite inputs on the dephasing path -------------------------------
+
+@pytest.fixture
+def no_exponentials(monkeypatch):
+    """Fail any test that lets an input reach an exponential."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("input reached an exponential")
+
+    monkeypatch.setattr("spinholonomy.noise.expm_hermitian", refuse)
+
+
+def test_dephasing_rejects_nan_coupling(no_exponentials):
+    bath = HyperfineBath(total_coupling=0.0, op_time=1.0)
+    with pytest.raises(ValueError, match="theta"):
+        dephasing_sweep(bath, [5.0], ExchangeCouplings(math.nan, 1.0))
+
+
+def test_bath_rejects_non_finite_parameters():
+    for op_time in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="op_time"):
+            HyperfineBath(total_coupling=0.0, op_time=op_time)
+    with pytest.raises(ValueError, match="op_time"):
+        HyperfineBath.from_ratio(5.0, math.nan)
+    for coupling in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="coupling"):
+            HyperfineBath(total_coupling=coupling, op_time=1.0)
+
+
+def test_dephasing_rejects_nan_lambda(no_exponentials):
+    with pytest.raises(ValueError, match="lambda"):
+        HyperfineBath.from_ratio(math.nan, 1.0)
+    bath = HyperfineBath(total_coupling=0.0, op_time=1.0)
+    with pytest.raises(ValueError, match="lambda"):
+        dephasing_sweep(bath, [2.0, math.nan], SYM)
+
+
+def test_infinite_lambda_means_no_bath():
+    assert HyperfineBath.from_ratio(math.inf, 1.0).total_coupling == 0.0
+
+
+def test_hyperfine_channel_rejects_non_finite_couplings(no_exponentials):
+    bath = HyperfineBath.from_ratio(5.0, 1.0, nuclei_per_electron=1)
+    with pytest.raises(ValueError, match="finite"):
+        hyperfine_channel(bath, ExchangeCouplings(math.inf, math.inf))
 
 
 def test_noise_config_single_family():
