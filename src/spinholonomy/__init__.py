@@ -35,7 +35,6 @@ from .invariants import (
 from .linalg import expm_hermitian, kron, svd
 from .noise import (
     HyperfineBath,
-    NoiseConfig,
     QuantumChannel,
     SweepTable,
     amplitude_noise_sweep,
@@ -77,7 +76,6 @@ __all__ = [
     "PulsePlan",
     "RegisterGate",
     "GateMetrics",
-    "NoiseConfig",
     "HyperfineBath",
     "QuantumChannel",
     "SweepTable",

@@ -29,13 +29,14 @@ def as_cmatrix(m) -> CMatrix:
 
 
 def dagger(m: CMatrix) -> CMatrix:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def max_abs(m) -> float:
-    """Max-entry norm, the metric behind all elementwise tolerances."""
-    return float(np.max(np.abs(m)))
+    """Max-entry norm, the metric behind all elementwise tolerances
+    (0 for an empty array)."""
+    return float(np.max(np.abs(m), initial=0.0))
 
 
 def hermiticity_defect(m: CMatrix) -> float:
@@ -63,22 +64,26 @@ def kron(a: CMatrix, b: CMatrix) -> CMatrix:
 def expm_hermitian(h: CMatrix, scale: float) -> CMatrix:
     """Unitary exp(-1j * scale * h) of a Hermitian generator.
 
-    Evaluated through the eigendecomposition of ``h``, which keeps the
-    result unitary to roundoff for any ``scale``.
+    ``h`` is one matrix ``(d, d)`` or a stack ``(..., d, d)``; a stack is
+    exponentiated member by member in one call, with the same result as
+    separate calls.  Evaluated through the eigendecomposition of ``h``,
+    which keeps the result unitary to roundoff for any ``scale``.
 
     Raises
     ------
     NonHermitianInput
-        If ``max|h - h^dag|`` exceeds 1e-12.
+        If ``max|h - h^dag|``, over the whole stack, exceeds 1e-12.
     """
-    h = as_cmatrix(h)
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={h.ndim}")
     defect = hermiticity_defect(h)
     if defect > HERMITIAN_TOL:
         raise NonHermitianInput(
             f"generator deviates from Hermiticity by {defect:.3e} (tol {HERMITIAN_TOL:g})"
         )
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+    return (v * np.exp(-1j * scale * w)[..., None, :]) @ dagger(v)
 
 
 def svd(m: CMatrix) -> tuple[CMatrix, np.ndarray, CMatrix]:

@@ -23,10 +23,11 @@ Three perturbations are studied:
   coupling ``A/N`` per nucleus, swept against ``lambda = N / (A tau_op)``,
   the hyperfine-decoherence to gate-operation time ratio.
 
-Sweep points are independent.  The DM and amplitude grids are evaluated
-through a thread pool when more than one CPU is available; the dephasing
-sweep evaluates its points in order, since each is a handful of small
-exponentials.  Results are always gathered in deterministic axis order.
+Every sweep runs in the calling thread and returns its grid in axis
+order.  The DM grid is a loop of closed-form gates.  The amplitude grid
+shares one envelope and one pair of arm Hamiltonians across its points,
+which differ only in two scalar offsets, so it is stepped once for the
+whole grid: one stacked exponential per pulse step.
 
 The dephasing generator is constant over the square pulse and conserves
 total S_z, so one pulse is exactly one exponential per magnetization
@@ -36,8 +37,6 @@ sector; see :func:`dephasing_sweep`.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +51,9 @@ from .linalg import CMatrix, expm_hermitian, unitarity_defect
 from .propagation import (
     PulsePlan,
     cyclicity_defect,
+    _midpoint_samples,
+    _ordered_product,
     propagator_closed_form,
-    propagator_time_ordered,
     pulse_area,
 )
 from .spin_chain import (
@@ -67,32 +67,6 @@ CYCLIC_TOL = 1e-9
 TARGET_LEAKAGE_TOL = 1e-10
 DEFAULT_STEPS = 200
 DEFAULT_DIM_CAP = 4096
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Perturbation parameters; exactly one family is active per run.
-
-    ``d1_ratio``/``d2_ratio`` parametrize the DM perturbation,
-    ``delta1``/``delta2`` (or equivalently ``ratio1``/``ratio2``) the arm
-    amplitude offsets.
-    """
-
-    d1_ratio: float | None = None
-    d2_ratio: float | None = None
-    delta1: float | None = None
-    delta2: float | None = None
-    ratio1: float | None = None
-    ratio2: float | None = None
-
-    def family(self) -> str:
-        dm = self.d1_ratio is not None or self.d2_ratio is not None
-        amp = any(
-            v is not None for v in (self.delta1, self.delta2, self.ratio1, self.ratio2)
-        )
-        if dm == amp:
-            raise ValueError("exactly one noise family must be active")
-        return "dm" if dm else "amplitude"
 
 
 @dataclass(frozen=True)
@@ -194,15 +168,6 @@ def process_fidelity(
     return float(abs(overlap) ** 2 / 16.0)
 
 
-def _map_grid(point_fn, points, workers: int | None):
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point_fn, points))
-    return [point_fn(p) for p in points]
-
-
 def _require_cyclic(pulse: PulsePlan, omega: float):
     defect = cyclicity_defect(pulse, omega)
     if defect > CYCLIC_TOL:
@@ -217,7 +182,6 @@ def dm_sweep(
     d1_ratios,
     d2_ratios,
     pulse: PulsePlan,
-    workers: int | None = None,
 ) -> SweepTable:
     """Fidelity grid against a static DM perturbation.
 
@@ -225,7 +189,18 @@ def dm_sweep(
     a DM term of strength ``D_i = sqrt(j1^2 + j2^2) / d_i`` and compares
     the realized gate with the clean XY gate.  Requires ``j1 == j2`` (the
     maximally entangling working point).
+
+    Raises
+    ------
+    ValueError
+        If a ratio ``d_i`` is not positive (NaN included), before any gate.
     """
+    d1_ratios = tuple(float(x) for x in d1_ratios)
+    d2_ratios = tuple(float(x) for x in d2_ratios)
+    for axis, ratios in (("d1", d1_ratios), ("d2", d2_ratios)):
+        for d in ratios:
+            if not d > 0:
+                raise ValueError(f"DM ratio {axis} must be positive; got {d!r}")
     if j1 != j2:
         raise ValueError("dm_sweep targets the symmetric point; need j1 == j2")
     xy = ExchangeCouplings(j1=j1, j2=j2)
@@ -234,21 +209,14 @@ def dm_sweep(
     area = pulse_area(pulse, pulse.duration)
     target = analytic_entangler(polar_xy.theta, polar_xy.phi1, polar_xy.phi2)
     scale = math.hypot(j1, j2)
-    d1_ratios = tuple(float(x) for x in d1_ratios)
-    d2_ratios = tuple(float(x) for x in d2_ratios)
-
-    def one(point):
-        d1, d2 = point
-        if d1 <= 0 or d2 <= 0:
-            raise ValueError("DM ratios d_i must be positive")
-        ham = build_hamiltonians(
-            ExchangeCouplings(j1=j1, j2=j2, d1=scale / d1, d2=scale / d2)
-        )
-        gate = extract_register_gate(propagator_closed_form(ham, area))
-        return process_fidelity(target, gate)
-
-    points = [(d1, d2) for d1 in d1_ratios for d2 in d2_ratios]
-    values = _map_grid(one, points, workers)
+    values = []
+    for d1 in d1_ratios:
+        for d2 in d2_ratios:
+            ham = build_hamiltonians(
+                ExchangeCouplings(j1=j1, j2=j2, d1=scale / d1, d2=scale / d2)
+            )
+            gate = extract_register_gate(propagator_closed_form(ham, area))
+            values.append(process_fidelity(target, gate))
     grid = np.array(values).reshape(len(d1_ratios), len(d2_ratios))
     return SweepTable(
         axis_names=("d1", "d2"),
@@ -264,40 +232,40 @@ def amplitude_noise_sweep(
     ratios2,
     pulse: PulsePlan,
     steps: int = DEFAULT_STEPS,
-    workers: int | None = None,
 ) -> SweepTable:
     """Fidelity grid against independent arm-amplitude offsets.
 
     Each arm's envelope is offset by ``delta_i = Omega / ratio_i`` (a ratio
     of ``inf`` means no offset); the two arm Hamiltonians do not commute,
-    so the perturbed propagator is evaluated by time-ordered stepping.
+    so the perturbed propagator is evaluated by time-ordered stepping.  The
+    grid points differ only in their offsets, so the envelope is sampled
+    once and every step exponentiates the whole grid in one stacked call,
+    with the same result as :func:`propagator_time_ordered` point by point.
+
+    Raises
+    ------
+    ValueError
+        If a ratio is zero or NaN, before any exponential.
     """
+    ratios1 = tuple(float(x) for x in ratios1)
+    ratios2 = tuple(float(x) for x in ratios2)
+    for axis, ratios in (("ratio1", ratios1), ("ratio2", ratios2)):
+        for r in ratios:
+            if r == 0 or math.isnan(r):
+                raise ValueError(f"{axis} must be nonzero, not NaN (inf: no offset); got {r!r}")
     polar = couplings_to_polar(couplings)
     _require_cyclic(pulse, polar.omega)
     target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
     h1, h2 = arm_hamiltonians(couplings)
-    omega_amp = pulse.amplitude
-    ratios1 = tuple(float(x) for x in ratios1)
-    ratios2 = tuple(float(x) for x in ratios2)
 
-    def one(point):
-        r1, r2 = point
-        if r1 == 0 or r2 == 0:
-            raise ValueError("amplitude ratios must be nonzero (inf for no offset)")
-        d1 = 0.0 if math.isinf(r1) else omega_amp / r1
-        d2 = 0.0 if math.isinf(r2) else omega_amp / r2
-        u = propagator_time_ordered(
-            [
-                (h1, lambda t: pulse.envelope(t) + d1),
-                (h2, lambda t: pulse.envelope(t) + d2),
-            ],
-            pulse.duration,
-            steps,
-        )
-        return process_fidelity(target, extract_register_gate(u))
+    def offset(r):
+        return 0.0 if math.isinf(r) else pulse.amplitude / r
 
-    points = [(r1, r2) for r1 in ratios1 for r2 in ratios2]
-    values = _map_grid(one, points, workers)
+    offsets = np.array([(offset(a), offset(b)) for a in ratios1 for b in ratios2])
+    offsets = offsets.reshape(-1, 2)
+    dt, envelope = _midpoint_samples([pulse.envelope], pulse.duration, steps)
+    u = _ordered_product([h1, h2], envelope[:, :, None] + offsets, dt)
+    values = [process_fidelity(target, extract_register_gate(m)) for m in u]
     grid = np.array(values).reshape(len(ratios1), len(ratios2))
     return SweepTable(
         axis_names=("ratio1", "ratio2"),
@@ -528,7 +496,6 @@ def dephasing_sweep(
 
 
 __all__ = [
-    "NoiseConfig",
     "HyperfineBath",
     "QuantumChannel",
     "SweepTable",

@@ -181,6 +181,45 @@ def propagator_closed_form(h: HamiltonianSet, area: float) -> CMatrix:
 Envelope = Callable[[float], float]
 
 
+def _midpoint_samples(envelopes: Sequence[Envelope], duration: float, steps: int):
+    """Step width ``dt`` and the ``(steps, len(envelopes))`` midpoint samples."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    dt = duration / steps
+    return dt, np.array(
+        [[float(env((i + 0.5) * dt)) for env in envelopes] for i in range(steps)]
+    )
+
+
+def _ordered_product(
+    matrices: Sequence[CMatrix], coefficients: np.ndarray, dt: float
+) -> np.ndarray:
+    """Time-ordered step products for a batch, shape ``(batch, d, d)``.
+
+    Step ``i`` of member ``b`` exponentiates
+    ``sum_p coefficients[i, b, p] * matrices[p]`` over ``dt``; each step
+    exponentiates the whole batch in one stacked call.  Consecutive steps
+    whose ``(batch, parts)`` coefficients are all equal share one step
+    matrix, applied by binary exponentiation.
+    """
+    steps, batch, _ = coefficients.shape
+    dim = matrices[0].shape[0] if len(matrices) else 1
+    u = np.broadcast_to(np.eye(dim, dtype=np.complex128), (batch, dim, dim))
+    i = 0
+    while i < steps:
+        j = i
+        while j + 1 < steps and np.array_equal(coefficients[j + 1], coefficients[i]):
+            j += 1
+        h_inst = np.zeros((batch, dim, dim), dtype=np.complex128)
+        for m, c in zip(matrices, coefficients[i].T):
+            h_inst += c[:, None, None] * m
+        step_u = expm_hermitian(h_inst, dt)
+        run = j - i + 1
+        u = (step_u if run == 1 else np.linalg.matrix_power(step_u, run)) @ u
+        i = j + 1
+    return u
+
+
 def propagator_time_ordered(
     h_parts: Sequence[tuple[CMatrix, Envelope]],
     duration: float,
@@ -190,33 +229,15 @@ def propagator_time_ordered(
 
     Each step exponentiates the instantaneous Hamiltonian
     ``sum_p envelope_p(t_mid) * h_p`` sampled at the step midpoint; the
-    step unitaries are multiplied in time order.  Consecutive steps whose
-    envelope samples coincide (square pulses, resolved plateaus) share one
-    step matrix and are applied by binary exponentiation, which evaluates
-    the same ordered product.
+    step unitaries are multiplied in time order.  Each envelope is sampled
+    once per step.  Consecutive steps whose envelope samples coincide
+    (square pulses, resolved plateaus) share one step matrix and are
+    applied by binary exponentiation, which evaluates the same ordered
+    product.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    parts = [(np.asarray(m, dtype=np.complex128), env) for m, env in h_parts]
-    dim = parts[0][0].shape[0] if parts else 1
-    dt = duration / steps
-    values = np.array(
-        [[float(env((i + 0.5) * dt)) for m, env in parts] for i in range(steps)]
-    )
-    u = np.eye(dim, dtype=np.complex128)
-    i = 0
-    while i < steps:
-        j = i
-        while j + 1 < steps and np.array_equal(values[j + 1], values[i]):
-            j += 1
-        h_inst = np.zeros((dim, dim), dtype=np.complex128)
-        for (m, _), v in zip(parts, values[i]):
-            h_inst += v * m
-        step_u = expm_hermitian(h_inst, dt)
-        run = j - i + 1
-        u = (step_u if run == 1 else np.linalg.matrix_power(step_u, run)) @ u
-        i = j + 1
-    return u
+    dt, values = _midpoint_samples([env for _, env in h_parts], duration, steps)
+    matrices = [np.asarray(m, dtype=np.complex128) for m, _ in h_parts]
+    return _ordered_product(matrices, values[:, None, :], dt)[0]
 
 
 __all__ = [

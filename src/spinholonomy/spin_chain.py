@@ -120,6 +120,10 @@ def build_spin_operators() -> dict[str, CMatrix]:
     return ops
 
 
+# Read-only by convention: build_hamiltonians only multiplies these.
+_OPS = build_spin_operators()
+
+
 def couplings_to_polar(c: ExchangeCouplings) -> PolarCouplings:
     """Polar form (omega, theta, phi1, phi2) of the couplings.
 
@@ -193,7 +197,7 @@ def build_hamiltonians(c: ExchangeCouplings) -> HamiltonianSet:
     all-zero coupling case yields zero matrices with the theta = 0
     convention for the factors.
     """
-    ops = build_spin_operators()
+    ops = _OPS
     h_xy = c.j1 * (ops["sx_1"] @ ops["sx_a"] + ops["sy_1"] @ ops["sy_a"]) + c.j2 * (
         ops["sx_a"] @ ops["sx_2"] + ops["sy_a"] @ ops["sy_2"]
     )

@@ -1,5 +1,6 @@
-"""Shared test utilities: seeded random matrices and couplings, and the
-dense oracle of the hyperfine dephasing study."""
+"""Shared test utilities: seeded random matrices and couplings, the
+plain stepped oracle of the amplitude-noise study, and the dense oracle
+of the hyperfine dephasing study."""
 
 import math
 from functools import lru_cache, reduce
@@ -13,6 +14,7 @@ from spinholonomy import (
     analytic_entangler,
     build_hamiltonians,
     couplings_to_polar,
+    expm_hermitian,
     process_fidelity,
     propagator_time_ordered,
     square_pulse,
@@ -48,6 +50,26 @@ def random_couplings(rng, min_omega: float = 0.1) -> ExchangeCouplings:
 def local_product(rng) -> np.ndarray:
     """Random single-qubit-only two-qubit unitary k1 (x) k2."""
     return np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+
+
+def stepped_amplitude_fidelity(
+    couplings: ExchangeCouplings, pulse, ratio1: float, ratio2: float, steps: int = 200
+) -> float:
+    """Fidelity of one amplitude-noise point by a plain midpoint product:
+    one exponential per step, no shared steps, arms built from single-arm
+    couplings, fidelity ``|tr(V^dag M)|^2 / 16`` of the ancilla-|0> block."""
+    h1 = build_hamiltonians(ExchangeCouplings(couplings.j1, 0.0, couplings.d1, 0.0)).h_eff
+    h2 = build_hamiltonians(ExchangeCouplings(0.0, couplings.j2, 0.0, couplings.d2)).h_eff
+    delta1 = 0.0 if math.isinf(ratio1) else pulse.amplitude / ratio1
+    delta2 = 0.0 if math.isinf(ratio2) else pulse.amplitude / ratio2
+    dt = pulse.duration / steps
+    u = np.eye(8, dtype=np.complex128)
+    for i in range(steps):
+        e = pulse.envelope((i + 0.5) * dt)
+        u = expm_hermitian((e + delta1) * h1 + (e + delta2) * h2, dt) @ u
+    polar = couplings_to_polar(couplings)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
+    return float(abs(np.vdot(target, u[:4, :4])) ** 2 / 16.0)
 
 
 def dense_hyperfine_hamiltonian(bath: HyperfineBath) -> np.ndarray:

@@ -243,3 +243,15 @@ def test_sweep_dephasing_nan_lambda_exits_3(tmp_path, capsys):
     assert run(tmp_path, "sweep-dephasing", {"lambdas": [math.nan]}) == 3
     assert "lambda" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_noise_nan_ratio_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "sweep-noise", {"ratios2": [10.0, math.nan]}) == 3
+    assert "ratio2" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_dm_nan_ratio_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "sweep-dm", {"d1_ratios": [math.nan]}) == 3
+    assert "d1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

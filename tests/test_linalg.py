@@ -75,6 +75,23 @@ def test_expm_rejects_non_hermitian(rng):
         expm_hermitian(random_matrix(rng, 4), 1.0)
 
 
+def test_expm_stack_equals_per_matrix_calls(rng):
+    a = np.stack([random_matrix(rng, 8) for _ in range(6)]).reshape(2, 3, 8, 8)
+    h = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    got = expm_hermitian(h, 0.37)
+    assert got.shape == h.shape
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(got[index], expm_hermitian(h[index], 0.37))
+
+
+def test_expm_stack_rejects_one_non_hermitian_member(rng):
+    a = np.stack([random_matrix(rng, 4) for _ in range(5)])
+    h = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    h[3, 0, 1] += 1e-6
+    with pytest.raises(NonHermitianInput):
+        expm_hermitian(h, 1.0)
+
+
 # --- svd --------------------------------------------------------------
 
 def test_svd_identity():

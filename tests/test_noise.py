@@ -13,25 +13,33 @@ from spinholonomy import (
     HyperfineBath,
     NonCyclicPulse,
     NonUnitaryTarget,
+    PolarCouplings,
     amplitude_noise_sweep,
     analytic_entangler,
+    arm_hamiltonians,
     build_hamiltonians,
     build_hyperfine_hamiltonian,
     couplings_to_polar,
     dephasing_sweep,
     dm_sweep,
     extract_register_gate,
+    gaussian_pulse,
     hyperfine_channel,
+    polar_to_couplings,
     process_fidelity,
     propagator_closed_form,
+    propagator_time_ordered,
+    scaled_to_area,
     solve_cyclic,
     square_pulse,
+    tabulated_pulse,
 )
 from spinholonomy.linalg import hermiticity_defect, max_abs
 
 from helpers import (
     dense_dephasing_fidelity,
     dense_hyperfine_hamiltonian,
+    stepped_amplitude_fidelity,
     symmetric_couplings,
 )
 
@@ -40,6 +48,38 @@ SYM = ExchangeCouplings(1.0, 1.0)
 
 def sym_pulse(winding=0, amplitude=1.0):
     return solve_cyclic(couplings_to_polar(SYM).omega, amplitude, winding)
+
+
+@pytest.fixture
+def no_exponentials(monkeypatch):
+    """Fail any test that lets an input reach an exponential."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("input reached an exponential")
+
+    for name in (
+        "spinholonomy.noise.expm_hermitian",
+        "spinholonomy.noise.propagator_closed_form",
+        "spinholonomy.propagation.expm_hermitian",
+    ):
+        monkeypatch.setattr(name, refuse)
+
+
+SHAPES = ("square", "gaussian", "tabulated")
+
+
+def cyclic_pulse(shape, couplings, duration):
+    """A pulse of the given shape scaled to the cyclic area pi / omega."""
+    if shape == "square":
+        base = square_pulse(1.0, duration)
+    elif shape == "gaussian":
+        base = gaussian_pulse(1.0, duration)
+    else:
+        # The plateau gives consecutive steps with equal envelope samples.
+        base = tabulated_pulse(
+            [(0.0, 0.3), (0.4 * duration, 1.0), (0.6 * duration, 1.0), (duration, 0.5)]
+        )
+    return scaled_to_area(base, math.pi / couplings_to_polar(couplings).omega)
 
 
 # --- process fidelity ---------------------------------------------------
@@ -125,6 +165,75 @@ def test_amplitude_sweep_symmetric_grid():
 def test_amplitude_sweep_rejects_noncyclic_pulse():
     with pytest.raises(NonCyclicPulse):
         amplitude_noise_sweep(SYM, [10.0], [10.0], square_pulse(1.0, 2.0))
+
+
+def test_amplitude_sweep_empty_axis_gives_empty_grid():
+    assert amplitude_noise_sweep(SYM, [], [10.0], sym_pulse()).fidelity.shape == (0, 1)
+
+
+RATIOS = st.one_of(st.floats(5.0, 200.0), st.floats(-200.0, -5.0))
+ANGLE = st.floats(-math.pi, math.pi)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=4, deadline=None)
+@given(
+    polar=st.builds(
+        PolarCouplings, st.floats(0.3, 2.0), st.floats(0.05, 1.5), ANGLE, ANGLE
+    ),
+    duration=st.floats(0.8, 2.5),
+    ratios1=st.lists(RATIOS, max_size=2),
+    ratios2=st.lists(RATIOS, max_size=2),
+)
+def test_amplitude_sweep_matches_stepped_oracle(shape, polar, duration, ratios1, ratios2):
+    couplings = polar_to_couplings(polar)
+    pulse = cyclic_pulse(shape, couplings, duration)
+    ratios1, ratios2 = [math.inf] + ratios1, [math.inf] + ratios2
+    table = amplitude_noise_sweep(couplings, ratios1, ratios2, pulse)
+    for i, r1 in enumerate(ratios1):
+        for k, r2 in enumerate(ratios2):
+            want = stepped_amplitude_fidelity(couplings, pulse, r1, r2)
+            assert abs(table.fidelity[i, k] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_amplitude_sweep_equals_pointwise_propagation(shape):
+    # The stacked sweep and a per-point time-ordered product do the same
+    # arithmetic, so the grids agree bit for bit.
+    couplings = ExchangeCouplings(1.1, -0.6, 0.3, 0.8)
+    pulse = cyclic_pulse(shape, couplings, 1.7)
+    ratios1, ratios2 = [math.inf, -12.0, 35.0], [8.0, math.inf, -60.0]
+    table = amplitude_noise_sweep(couplings, ratios1, ratios2, pulse)
+    polar = couplings_to_polar(couplings)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
+    h1, h2 = arm_hamiltonians(couplings)
+    grid = np.zeros((3, 3))
+    for i, r1 in enumerate(ratios1):
+        for k, r2 in enumerate(ratios2):
+            d1 = 0.0 if math.isinf(r1) else pulse.amplitude / r1
+            d2 = 0.0 if math.isinf(r2) else pulse.amplitude / r2
+            u = propagator_time_ordered(
+                [
+                    (h1, lambda t: pulse.envelope(t) + d1),
+                    (h2, lambda t: pulse.envelope(t) + d2),
+                ],
+                pulse.duration,
+                200,
+            )
+            grid[i, k] = process_fidelity(target, extract_register_gate(u))
+    assert np.array_equal(table.fidelity, grid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0])
+def test_amplitude_sweep_rejects_bad_ratio_at_entry(no_exponentials, bad):
+    with pytest.raises(ValueError, match=rf"ratio2 .*{bad!r}"):
+        amplitude_noise_sweep(SYM, [10.0], [20.0, bad], sym_pulse())
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -2.0])
+def test_dm_sweep_rejects_bad_ratio_at_entry(no_exponentials, bad):
+    with pytest.raises(ValueError, match=rf"d1 .*{bad!r}"):
+        dm_sweep(1.0, 1.0, [3.0, bad], [3.0], sym_pulse())
 
 
 # --- hyperfine bath -----------------------------------------------------
@@ -269,16 +378,6 @@ def test_dephasing_n3_point_memory_and_time():
 
 # --- non-finite inputs on the dephasing path -------------------------------
 
-@pytest.fixture
-def no_exponentials(monkeypatch):
-    """Fail any test that lets an input reach an exponential."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("input reached an exponential")
-
-    monkeypatch.setattr("spinholonomy.noise.expm_hermitian", refuse)
-
-
 def test_dephasing_rejects_nan_coupling(no_exponentials):
     bath = HyperfineBath(total_coupling=0.0, op_time=1.0)
     with pytest.raises(ValueError, match="theta"):
@@ -313,13 +412,3 @@ def test_hyperfine_channel_rejects_non_finite_couplings(no_exponentials):
     with pytest.raises(ValueError, match="finite"):
         hyperfine_channel(bath, ExchangeCouplings(math.inf, math.inf))
 
-
-def test_noise_config_single_family():
-    from spinholonomy import NoiseConfig
-
-    assert NoiseConfig(d1_ratio=3.0, d2_ratio=3.0).family() == "dm"
-    assert NoiseConfig(ratio1=10.0, ratio2=10.0).family() == "amplitude"
-    with pytest.raises(ValueError):
-        NoiseConfig().family()
-    with pytest.raises(ValueError):
-        NoiseConfig(d1_ratio=3.0, delta1=0.1).family()

@@ -146,6 +146,28 @@ def test_time_ordered_two_arms_sum_to_chain(rng):
         assert max_abs(u - want) <= 1e-8
 
 
+def test_time_ordered_noncommuting_parts_match_plain_product(rng):
+    # The arm Hamiltonians do not commute, so only the time order of the
+    # steps gives this product; the plain loop applies each step in turn.
+    from spinholonomy import arm_hamiltonians
+
+    for _ in range(5):
+        h1, h2 = arm_hamiltonians(random_couplings(rng))
+        duration, steps = rng.uniform(0.5, 2.0), 60
+        p = gaussian_pulse(rng.uniform(0.5, 2.0), duration)
+
+        def ramp(t, _d=duration):
+            return 0.3 + t / _d
+
+        u = propagator_time_ordered([(h1, p.envelope), (h2, ramp)], duration, steps)
+        dt = duration / steps
+        want = np.eye(8, dtype=complex)
+        for i in range(steps):
+            t = (i + 0.5) * dt
+            want = expm_hermitian(p.envelope(t) * h1 + ramp(t) * h2, dt) @ want
+        assert max_abs(u - want) <= 1e-12
+
+
 def test_time_ordered_unitarity(rng):
     for _ in range(20):
         c = random_couplings(rng)
