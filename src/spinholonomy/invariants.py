@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import NonCanonicalInput, NonUnitaryInput
 from .linalg import CMatrix, unitarity_defect
@@ -68,11 +67,18 @@ CHAMBER_TOL = 1e-9
 
 MAX_ENTANGLING_POWER = 2.0 / 9.0
 
-# Half-space form of the perfect-entangler polyhedron, derived once from
-# its six vertices: inside iff eq . (c, 1) <= 0 for every facet equation.
-_PE_EQUATIONS = ConvexHull(
-    np.array([WEYL_VERTICES[k] for k in ("L", "M", "N", "P", "Q", "A2")])
-).equations
+# Facet planes of the perfect-entangler polyhedron L-M-N-P-Q-A2, one row
+# (n, b) each with outward unit normal n: inside iff n . c + b <= 0.
+_R = 1 / math.sqrt(2)
+_PE_EQUATIONS = np.array([
+    [-_R, -_R, 0.0, _R * math.pi / 2],  # c1 + c2 >= pi/2  (L, P, Q)
+    [-_R, _R, 0.0, 0.0],  # c2 <= c1  (P, Q, A2)
+    [0.0, -_R, _R, 0.0],  # c3 <= c2  (L, N, P)
+    [0.0, 0.0, -1.0, 0.0],  # c3 >= 0  (L, M, Q, A2)
+    [0.0, _R, _R, -_R * math.pi / 2],  # c2 + c3 <= pi/2  (N, P, A2)
+    [_R, -_R, 0.0, -_R * math.pi / 2],  # c1 - c2 <= pi/2  (L, M, N)
+    [_R, _R, 0.0, -_R * math.pi],  # c1 + c2 <= pi  (M, N, A2)
+])
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,8 @@ def _on_segment(p, a, b, tol: float) -> bool:
 
 
 def in_perfect_polyhedron(weyl, tol: float = CHAMBER_TOL) -> bool:
-    """Half-space membership test for the L-M-N-P-Q-A2 polyhedron."""
+    """Half-space membership test for the L-M-N-P-Q-A2 polyhedron; with unit
+    normals, ``tol`` is a Euclidean distance outside a facet plane."""
     point = np.append(np.asarray(weyl, dtype=float), 1.0)
     return bool(np.all(_PE_EQUATIONS @ point <= tol))
 

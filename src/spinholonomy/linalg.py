@@ -17,7 +17,6 @@ from .errors import NonHermitianInput
 CMatrix = np.ndarray
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-12
 
 
 def as_cmatrix(m) -> CMatrix:
@@ -43,17 +42,9 @@ def hermiticity_defect(m: CMatrix) -> float:
     return max_abs(m - dagger(m))
 
 
-def is_hermitian(m: CMatrix, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def unitarity_defect(u: CMatrix) -> float:
     u = np.asarray(u)
     return max_abs(dagger(u) @ u - np.eye(u.shape[1]))
-
-
-def is_unitary(u: CMatrix, tol: float = UNITARY_TOL) -> bool:
-    return unitarity_defect(u) <= tol
 
 
 def kron(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -72,15 +63,17 @@ def expm_hermitian(h: CMatrix, scale: float) -> CMatrix:
     Raises
     ------
     NonHermitianInput
-        If ``max|h - h^dag|``, over the whole stack, exceeds 1e-12.
+        If ``max|h - h^dag|``, over the whole stack, exceeds 1e-12, or if
+        ``h`` has a non-finite entry.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got ndim={h.ndim}")
     defect = hermiticity_defect(h)
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:
         raise NonHermitianInput(
-            f"generator deviates from Hermiticity by {defect:.3e} (tol {HERMITIAN_TOL:g})"
+            "generator has non-finite entries" if not np.isfinite(h).all()
+            else f"generator deviates from Hermiticity by {defect:.3e} (tol {HERMITIAN_TOL:g})"
         )
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * scale * w)[..., None, :]) @ dagger(v)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import OutOfRange, ZeroCoupling
 from .linalg import CMatrix, dagger, expm_hermitian, kron
@@ -74,9 +73,7 @@ class PulsePlan:
             sigma = GAUSSIAN_WIDTH_FRACTION * self.duration
             x = (t - 0.5 * self.duration) / sigma
             return self.amplitude * math.exp(-0.5 * x * x)
-        times = [s[0] for s in self.samples]
-        values = [s[1] for s in self.samples]
-        return float(np.interp(t, times, values))
+        return float(np.interp(t, *zip(*self.samples)))
 
 
 def square_pulse(amplitude: float, duration: float, winding: int = 0) -> PulsePlan:
@@ -96,10 +93,11 @@ def tabulated_pulse(
 
 
 def pulse_area(p: PulsePlan, t: float) -> float:
-    """Accumulated area ``integral_0^t envelope(s) ds``.
+    """Accumulated area ``integral_0^t envelope(s) ds``, in closed form.
 
-    The square pulse is integrated analytically; gaussian and tabulated
-    shapes use adaptive quadrature with absolute error below 1e-10.
+    Gaussian: a difference of two ``math.erf`` values.  Tabulated: the
+    trapezoid sum over the knots 0, the samples in ``(0, t]`` and ``t``,
+    exact for the linear interpolant (a repeated sample time is a jump).
 
     Raises
     ------
@@ -112,12 +110,16 @@ def pulse_area(p: PulsePlan, t: float) -> float:
         return 0.0
     if p.shape == "square":
         return p.amplitude * t
-    if p.shape == "tabulated":
-        breaks = [s for s, _ in p.samples if 0 < s < t]
-        area, _ = quad(p.envelope, 0.0, t, epsabs=1e-10, limit=200, points=breaks)
-        return area
-    area, _ = quad(p.envelope, 0.0, t, epsabs=1e-10, limit=200)
-    return area
+    if p.shape == "gaussian":
+        sigma = GAUSSIAN_WIDTH_FRACTION * p.duration
+        half, scale = 0.5 * p.duration, sigma * math.sqrt(2.0)
+        edges = math.erf((t - half) / scale) + math.erf(half / scale)
+        return p.amplitude * sigma * math.sqrt(math.pi / 2) * edges
+    knots = [(0.0, p.envelope(0.0))] + [(s, v) for s, v in p.samples if 0 < s <= t]
+    if knots[-1][0] < t:
+        knots.append((t, p.envelope(t)))
+    pairs = zip(knots, knots[1:])
+    return math.fsum(0.5 * (s1 - s0) * (v0 + v1) for (s0, v0), (s1, v1) in pairs)
 
 
 def scaled_to_area(p: PulsePlan, area: float) -> PulsePlan:
@@ -126,10 +128,8 @@ def scaled_to_area(p: PulsePlan, area: float) -> PulsePlan:
     if current <= 0:
         raise ValueError("cannot rescale a pulse with non-positive area")
     factor = area / current
-    if p.shape == "tabulated":
-        samples = tuple((t, v * factor) for t, v in p.samples)
-        return PulsePlan(p.shape, p.amplitude * factor, p.duration, p.winding, samples)
-    return PulsePlan(p.shape, p.amplitude * factor, p.duration, p.winding)
+    samples = tuple((t, v * factor) for t, v in p.samples) if p.samples else None
+    return PulsePlan(p.shape, p.amplitude * factor, p.duration, p.winding, samples)
 
 
 def solve_cyclic(omega: float, amplitude: float, winding: int = 0) -> PulsePlan:

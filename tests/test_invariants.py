@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import haar_unitary, local_product
 from spinholonomy import (
@@ -17,6 +19,7 @@ from spinholonomy import (
     makhlin_invariants,
     weyl_coordinates,
 )
+from spinholonomy.invariants import _PE_EQUATIONS, in_perfect_polyhedron
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -184,6 +187,48 @@ def test_classifier_boundary_on_fine_grid():
     spacing = thetas[1] - thetas[0]
     assert abs(thetas[first] - math.pi / 8) <= spacing
     assert classes[-1] == "special_perfect"
+
+
+# --- perfect-entangler facet table ---------------------------------------
+
+PE_VERTICES = np.array([WEYL_VERTICES[k] for k in ("L", "M", "N", "P", "Q", "A2")])
+
+
+def facet_vertices(row):
+    """The polyhedron vertices lying on the plane of one facet row."""
+    return PE_VERTICES[np.abs(PE_VERTICES @ row[:3] + row[3]) <= 1e-12]
+
+
+def test_facet_planes_unit_normals_through_vertices():
+    assert _PE_EQUATIONS.shape == (7, 4)
+    for row in _PE_EQUATIONS:
+        assert abs(np.linalg.norm(row[:3]) - 1.0) <= 1e-15
+        assert len(facet_vertices(row)) >= 3
+        assert np.all(PE_VERTICES @ row[:3] + row[3] <= 1e-12)
+
+
+WEIGHTS = st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6).filter(
+    lambda w: sum(w) > 1e-3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=WEIGHTS)
+def test_convex_combinations_of_vertices_are_inside(weights):
+    w = np.array(weights) / sum(weights)
+    assert in_perfect_polyhedron(w @ PE_VERTICES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet=st.integers(0, 6), weights=WEIGHTS)
+def test_points_pushed_off_a_facet_are_outside(facet, weights):
+    row = _PE_EQUATIONS[facet]
+    on_facet = facet_vertices(row)
+    centroid = on_facet.mean(axis=0)
+    w = np.array(weights[: len(on_facet)]) + 1e-3
+    point = (w / w.sum()) @ on_facet
+    for p in (centroid, point):
+        assert not in_perfect_polyhedron(p + 1e-6 * row[:3])
 
 
 def test_gate_metrics_bundle(rng):

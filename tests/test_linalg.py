@@ -92,6 +92,19 @@ def test_expm_stack_rejects_one_non_hermitian_member(rng):
         expm_hermitian(h, 1.0)
 
 
+def test_expm_rejects_nan_matrix():
+    with pytest.raises(NonHermitianInput, match="non-finite"):
+        expm_hermitian(np.full((2, 2), np.nan), 1.0)
+
+
+def test_expm_stack_rejects_one_nan_member(rng):
+    a = np.stack([random_matrix(rng, 8) for _ in range(3)])
+    h = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    h[1, 2, 2] = np.nan
+    with pytest.raises(NonHermitianInput, match="non-finite"):
+        expm_hermitian(h, 1.0)
+
+
 # --- svd --------------------------------------------------------------
 
 def test_svd_identity():

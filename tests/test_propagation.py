@@ -39,18 +39,38 @@ def test_area_at_zero():
         assert pulse_area(p, 0.0) == 0.0
 
 
+def trapezoid_area(p, t, points):
+    """Dense uniform trapezoid rule over the envelope on ``[0, t]``."""
+    grid = np.linspace(0.0, t, points)
+    return np.trapezoid([p.envelope(x) for x in grid], grid)
+
+
 def test_gaussian_area_against_trapezoid_oracle():
-    p = gaussian_pulse(3.0, 2.0)
-    t = np.linspace(0.0, 2.0, 1_000_001)
-    oracle = np.trapezoid([p.envelope(x) for x in t], t)
-    assert abs(pulse_area(p, 2.0) - oracle) <= 1e-9
+    cases = [
+        (gaussian_pulse(3.0, 2.0), 2.0, 1_000_001),
+        (gaussian_pulse(0.7, 5.0), 1.1, 200_001),  # before the peak
+        (gaussian_pulse(1.5, 1.0), 0.9, 200_001),  # into the falling tail
+        (gaussian_pulse(2.0, 4.0), 0.01, 2_001),  # deep in the leading tail
+    ]
+    for p, t, points in cases:
+        assert abs(pulse_area(p, t) - trapezoid_area(p, t, points)) <= 1e-9
 
 
 def test_tabulated_area_against_trapezoid_oracle(rng):
     p = random_tabulated(rng, 1.5)
-    t = np.linspace(0.0, 1.5, 300_001)
-    oracle = np.trapezoid([p.envelope(x) for x in t], t)
-    assert abs(pulse_area(p, 1.5) - oracle) <= 1e-9
+    late_start = tabulated_pulse([(0.4, 0.8), (1.0, 0.3), (1.6, 1.1), (2.0, 0.5)])
+    # A repeated sample time is a jump; an even point count puts it at a
+    # cell midpoint, where the trapezoid rule's error from the jump cancels.
+    jump = tabulated_pulse([(0.0, 0.2), (0.7, 0.9), (0.7, 0.4), (1.4, 1.0)])
+    cases = [
+        (p, 1.5, 300_001),
+        (p, 0.05, 1_001),  # inside the first segment
+        (late_start, 0.25, 1_001),  # before the first sample
+        (late_start, 1.3, 50_001),
+        (jump, 1.4, 50_000),
+    ]
+    for p, t, points in cases:
+        assert abs(pulse_area(p, t) - trapezoid_area(p, t, points)) <= 1e-9
 
 
 def test_area_rejects_out_of_window():
