@@ -32,6 +32,7 @@ from .noise import (
 )
 from .propagation import (
     PulsePlan,
+    _require_cyclic,
     propagator_closed_form,
     pulse_area,
     solve_cyclic,
@@ -77,7 +78,6 @@ class RunConfig:
     format: str = "csv"
     grid: int = 101
     steps: int = DEFAULT_STEPS
-    seed: int = 0
 
     def couplings(self) -> ExchangeCouplings:
         return ExchangeCouplings(j1=self.j1, j2=self.j2, d1=self.d1, d2=self.d2)
@@ -85,7 +85,7 @@ class RunConfig:
 
 _KNOWN_KEYS = {f.name for f in fields(RunConfig)}
 _FLOAT_KEYS = {"j1", "j2", "d1", "d2", "amplitude", "duration", "op_time"}
-_INT_KEYS = {"winding", "nuclei_per_electron", "dim_cap", "grid", "steps", "seed"}
+_INT_KEYS = {"winding", "nuclei_per_electron", "dim_cap", "grid", "steps"}
 _LIST_KEYS = {"d1_ratios", "d2_ratios", "ratios1", "ratios2", "lambdas"}
 _STR_KEYS = {"command", "shape", "matrix", "out", "format"}
 
@@ -132,7 +132,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for key in ("out", "format", "grid", "steps", "seed"):
+    for key in ("out", "format", "grid", "steps"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -147,8 +147,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("field 'grid': need at least 2 points")
     if cfg.steps < 1:
         raise ConfigError("field 'steps': need at least 1 step")
-    if cfg.seed < 0:
-        raise ConfigError("field 'seed': must be a non-negative integer")
     return cfg
 
 
@@ -217,6 +215,7 @@ def cmd_gate(cfg: RunConfig) -> int:
     couplings = cfg.couplings()
     polar = couplings_to_polar(couplings)
     pulse = _build_pulse(cfg, polar.omega)
+    _require_cyclic(pulse, polar.omega)
     ham = build_hamiltonians(couplings)
     area = pulse_area(pulse, pulse.duration)
     gate = extract_register_gate(propagator_closed_form(ham, area))
@@ -367,7 +366,6 @@ def cmd_sweep_dephasing(cfg: RunConfig) -> int:
         template,
         cfg.lambdas,
         cfg.couplings(),
-        steps=cfg.steps,
         dim_cap=cfg.dim_cap,
     )
     _emit_sweep(cfg, table, ["lambda", "fidelity"], "line", ("λ",))
@@ -437,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path prefix")
         p.add_argument("--format", choices=("csv", "json", "svg"))
         p.add_argument("--grid", type=int, help="sweep grid size")
-        p.add_argument("--steps", type=int, help="time-ordered step count")
-        p.add_argument("--seed", type=int, help="seed echoed for reproducibility")
+        p.add_argument("--steps", type=int, help="time-ordered step count (sweep-noise)")
         if name == "classify":
             p.add_argument("matrix", nargs="?", help="file with a 4x4 complex matrix")
     return parser

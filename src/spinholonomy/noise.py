@@ -41,18 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionOverflow,
-    NonCyclicPulse,
-    NonUnitaryTarget,
-)
+from .errors import DimensionOverflow, NonUnitaryTarget
 from .gates import RegisterGate, analytic_entangler, extract_register_gate
 from .linalg import CMatrix, expm_hermitian, unitarity_defect
 from .propagation import (
     PulsePlan,
-    cyclicity_defect,
     _midpoint_samples,
     _ordered_product,
+    _require_cyclic,
     propagator_closed_form,
     pulse_area,
 )
@@ -63,7 +59,6 @@ from .spin_chain import (
     couplings_to_polar,
 )
 
-CYCLIC_TOL = 1e-9
 TARGET_LEAKAGE_TOL = 1e-10
 DEFAULT_STEPS = 200
 DEFAULT_DIM_CAP = 4096
@@ -127,12 +122,11 @@ class QuantumChannel:
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Axis values, the fidelity grid, and the configuration that made it."""
+    """Axis names and values and the fidelity grid over them (axis order)."""
 
     axis_names: tuple[str, ...]
     axis_values: tuple[tuple[float, ...], ...]
     fidelity: np.ndarray
-    config: dict
 
     def rows(self):
         """Rows (axis values..., fidelity) in deterministic axis order."""
@@ -166,14 +160,6 @@ def process_fidelity(
         return float(np.sum(np.abs(overlaps) ** 2) / 16.0)
     overlap = np.einsum("sp,sp->", v.conj(), actual.matrix)
     return float(abs(overlap) ** 2 / 16.0)
-
-
-def _require_cyclic(pulse: PulsePlan, omega: float):
-    defect = cyclicity_defect(pulse, omega)
-    if defect > CYCLIC_TOL:
-        raise NonCyclicPulse(
-            f"pulse area times omega misses an odd multiple of pi by {defect:.3e}"
-        )
 
 
 def dm_sweep(
@@ -222,7 +208,6 @@ def dm_sweep(
         axis_names=("d1", "d2"),
         axis_values=(d1_ratios, d2_ratios),
         fidelity=grid,
-        config={"j1": j1, "j2": j2, "pulse": pulse, "family": "dm"},
     )
 
 
@@ -271,7 +256,6 @@ def amplitude_noise_sweep(
         axis_names=("ratio1", "ratio2"),
         axis_values=(ratios1, ratios2),
         fidelity=grid,
-        config={"couplings": couplings, "pulse": pulse, "steps": steps, "family": "amplitude"},
     )
 
 
@@ -384,7 +368,6 @@ def _pulse_sectors(
 def hyperfine_channel(
     bath: HyperfineBath,
     couplings: ExchangeCouplings,
-    steps: int = DEFAULT_STEPS,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> QuantumChannel:
     """Operator-sum representation of one gate pulse under the bath.
@@ -394,13 +377,9 @@ def hyperfine_channel(
     calibrated cyclic over ``bath.op_time``; the bath starts maximally
     mixed (unpolarized nuclei), so the Kraus operators are
     ``M_ij = <j|U|i> / sqrt(bath_dim)`` over bath basis states.  The
-    generator is constant, so U is one exponential per total-S_z sector,
-    scattered into the dense chain-plus-bath matrix.  ``steps`` is
-    validated but does not change the result: the midpoint product of a
-    constant generator is exactly that exponential.
+    generator is constant, so U is exactly one exponential per total-S_z
+    sector, scattered into the dense chain-plus-bath matrix.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     dim_b = bath.bath_dim
     u = _scatter(
         (
@@ -437,7 +416,6 @@ def dephasing_sweep(
     bath_template: HyperfineBath,
     lambdas,
     couplings: ExchangeCouplings,
-    steps: int = DEFAULT_STEPS,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> SweepTable:
     """Fidelity versus the decoherence-to-operation time ratio.
@@ -452,12 +430,8 @@ def dephasing_sweep(
 
         F = sum_{ij} |sum_{s,s'} conj(V[s, s']) <s, j|U|s', i>|^2 / (16 d_b),
 
-    without forming U or the Kraus operators.  ``steps`` is validated and
-    recorded in the config but does not change the result, since the
-    midpoint product of a constant generator is exactly one exponential.
+    without forming U or the Kraus operators.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     polar = couplings_to_polar(couplings)
     if not abs(polar.theta - math.pi / 4) <= 1e-9:
         raise ValueError(
@@ -485,13 +459,6 @@ def dephasing_sweep(
         axis_names=("lambda",),
         axis_values=(lambdas,),
         fidelity=np.array(values),
-        config={
-            "couplings": couplings,
-            "op_time": bath_template.op_time,
-            "nuclei_per_electron": bath_template.nuclei_per_electron,
-            "steps": steps,
-            "family": "dephasing",
-        },
     )
 
 

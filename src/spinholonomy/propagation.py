@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, ZeroCoupling
+from .errors import NonCyclicPulse, OutOfRange, ZeroCoupling
 from .linalg import CMatrix, dagger, expm_hermitian, kron
 from .spin_chain import HamiltonianSet
 
@@ -34,6 +34,9 @@ from .spin_chain import HamiltonianSet
 GAUSSIAN_WIDTH_FRACTION = 1.0 / 8.0
 
 PULSE_SHAPES = ("square", "gaussian", "tabulated")
+
+#: Largest cyclicity defect accepted before a pulse drives a gate.
+CYCLIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class PulsePlan:
     a gaussian; tabulated shapes carry explicit ``samples`` of (time, value)
     pairs that are linearly interpolated.  ``winding`` records the integer n
     of the cyclicity condition the plan was solved for (0 when the plan was
-    built directly).
+    built directly).  Durations must be positive and every number finite.
     """
 
     shape: str
@@ -56,14 +59,20 @@ class PulsePlan:
     def __post_init__(self):
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
-        if self.duration <= 0:
-            raise ValueError("pulse duration must be positive")
         if self.shape == "tabulated":
             if not self.samples or len(self.samples) < 2:
                 raise ValueError("tabulated pulse needs at least two samples")
+            if not all(math.isfinite(x) for sample in self.samples for x in sample):
+                raise ValueError(f"tabulated samples must be finite, got {self.samples!r}")
             times = [t for t, _ in self.samples]
             if sorted(times) != times:
                 raise ValueError("tabulated sample times must be increasing")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"pulse amplitude must be finite, got {self.amplitude!r}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(
+                f"pulse duration must be positive and finite, got {self.duration!r}"
+            )
 
     def envelope(self, t: float) -> float:
         """Instantaneous envelope value at time ``t``."""
@@ -138,12 +147,12 @@ def solve_cyclic(omega: float, amplitude: float, winding: int = 0) -> PulsePlan:
     Raises
     ------
     ZeroCoupling
-        If ``omega <= 0``.
+        If ``omega`` is not positive (NaN included).
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ZeroCoupling(f"cyclic pulse needs omega > 0, got {omega!r}")
-    if amplitude <= 0:
-        raise ValueError("pulse amplitude must be positive")
+    if not amplitude > 0:
+        raise ValueError(f"pulse amplitude must be positive, got {amplitude!r}")
     if winding < 0:
         raise ValueError("winding must be a non-negative integer")
     duration = (2 * winding + 1) * math.pi / (amplitude * omega)
@@ -155,6 +164,15 @@ def cyclicity_defect(p: PulsePlan, omega: float) -> float:
     phase = pulse_area(p, p.duration) * omega / math.pi
     k = 2 * max(round((phase - 1) / 2), 0) + 1
     return abs(phase - k) * math.pi
+
+
+def _require_cyclic(p: PulsePlan, omega: float):
+    """Raise :class:`NonCyclicPulse` unless ``p`` is cyclic for ``omega``."""
+    defect = cyclicity_defect(p, omega)
+    if not defect <= CYCLIC_TOL:
+        raise NonCyclicPulse(
+            f"pulse area times omega misses an odd multiple of pi by {defect:.3e}"
+        )
 
 
 def propagator_closed_form(h: HamiltonianSet, area: float) -> CMatrix:

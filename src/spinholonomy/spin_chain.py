@@ -88,15 +88,14 @@ class PolarCouplings:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSet:
-    """The 8x8 chain Hamiltonians and the factored exchange matrix.
+    """The 8x8 chain generator and the factored exchange matrix.
 
-    ``h_eff = h_xy + h_dm`` is the time-independent generator; during a
-    pulse the instantaneous Hamiltonian is ``envelope(t) * h_eff``.
-    ``t_diag`` is ``(0, 0, omega, omega)``.
+    ``h_eff`` is the sum of the two arm Hamiltonians and the
+    time-independent generator; during a pulse the instantaneous
+    Hamiltonian is ``envelope(t) * h_eff``.  ``t_diag`` is
+    ``(0, 0, omega, omega)``.
     """
 
-    h_xy: CMatrix
-    h_dm: CMatrix
     h_eff: CMatrix
     w: CMatrix
     v0: CMatrix
@@ -120,8 +119,19 @@ def build_spin_operators() -> dict[str, CMatrix]:
     return ops
 
 
-# Read-only by convention: build_hamiltonians only multiplies these.
-_OPS = build_spin_operators()
+def _coupling_operators() -> list[CMatrix]:
+    """XY ``Sx Sx + Sy Sy`` and DM ``Sx Sy - Sy Sx`` operators of arm 1
+    (sites 1, a), then of arm 2 (sites a, 2)."""
+    ops = build_spin_operators()
+    terms = []
+    for first, second in (("1", "a"), ("a", "2")):
+        sx1, sy1, sx2, sy2 = (ops[f"{n}_{s}"] for s in (first, second) for n in ("sx", "sy"))
+        terms += [sx1 @ sx2 + sy1 @ sy2, sx1 @ sy2 - sy1 @ sx2]
+    return terms
+
+
+# Read-only by convention: arm_hamiltonians only scales and adds these.
+_XY1, _DM1, _XY2, _DM2 = _coupling_operators()
 
 
 def couplings_to_polar(c: ExchangeCouplings) -> PolarCouplings:
@@ -189,30 +199,22 @@ def closed_form_factors(p: PolarCouplings) -> tuple[CMatrix, CMatrix, CMatrix]:
 
 
 def build_hamiltonians(c: ExchangeCouplings) -> HamiltonianSet:
-    """Assemble the chain Hamiltonians and the factored exchange matrix.
+    """Assemble the chain generator and the factored exchange matrix.
 
-    ``h_xy`` and ``h_dm`` are built term by term from the embedded spin
-    operators; the block identity ``h_eff == kron(sp, w) + h.c.`` is a
-    tested invariant rather than the construction route.  The degenerate
-    all-zero coupling case yields zero matrices with the theta = 0
-    convention for the factors.
+    ``h_eff`` is built term by term from the embedded spin operators (see
+    :func:`arm_hamiltonians`); the block identity
+    ``h_eff == kron(sp, w) + h.c.`` is a tested invariant rather than the
+    construction route.  The degenerate all-zero coupling case yields zero
+    matrices with the theta = 0 convention for the factors.
     """
-    ops = _OPS
-    h_xy = c.j1 * (ops["sx_1"] @ ops["sx_a"] + ops["sy_1"] @ ops["sy_a"]) + c.j2 * (
-        ops["sx_a"] @ ops["sx_2"] + ops["sy_a"] @ ops["sy_2"]
-    )
-    h_dm = c.d1 * (ops["sx_1"] @ ops["sy_a"] - ops["sy_1"] @ ops["sx_a"]) + c.d2 * (
-        ops["sx_a"] @ ops["sy_2"] - ops["sy_a"] @ ops["sx_2"]
-    )
+    h1, h2 = arm_hamiltonians(c)
     try:
         polar = couplings_to_polar(c)
     except ZeroCoupling:
         polar = PolarCouplings(omega=0.0, theta=0.0, phi1=0.0, phi2=0.0)
     v0, t, v1 = closed_form_factors(polar)
     return HamiltonianSet(
-        h_xy=h_xy,
-        h_dm=h_dm,
-        h_eff=h_xy + h_dm,
+        h_eff=h1 + h2,
         w=exchange_matrix(c),
         v0=v0,
         t_diag=(0.0, 0.0, polar.omega, polar.omega),
@@ -230,12 +232,11 @@ def ancilla_ground_projector() -> CMatrix:
 def arm_hamiltonians(c: ExchangeCouplings) -> tuple[CMatrix, CMatrix]:
     """The two arm Hamiltonians (ancilla-register-1, ancilla-register-2).
 
-    Their sum is ``h_eff``; they do not commute, which is what makes
-    independent arm-amplitude noise nontrivial.
+    ``j_k * XY_k + d_k * DM_k`` for arm ``k``.  Their sum is ``h_eff``;
+    they do not commute, which is what makes independent arm-amplitude
+    noise nontrivial.
     """
-    h1 = build_hamiltonians(ExchangeCouplings(j1=c.j1, j2=0.0, d1=c.d1, d2=0.0)).h_eff
-    h2 = build_hamiltonians(ExchangeCouplings(j1=0.0, j2=c.j2, d1=0.0, d2=c.d2)).h_eff
-    return h1, h2
+    return c.j1 * _XY1 + c.d1 * _DM1, c.j2 * _XY2 + c.d2 * _DM2
 
 
 __all__ = [

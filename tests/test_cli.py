@@ -59,6 +59,30 @@ def test_gate_eighth_pi_boundary(tmp_path):
     assert report["metrics"]["class"] == "perfect"
 
 
+@pytest.mark.parametrize(
+    "config, cause",
+    [
+        ({"shape": "tabulated", "samples": [[0.0, 1.0], [math.nan, 1.0]]}, "samples"),
+        ({"amplitude": math.nan}, "amplitude"),
+        ({"duration": math.nan}, "duration"),
+    ],
+)
+def test_gate_non_finite_pulse_exits_3(tmp_path, capsys, config, cause):
+    assert run(tmp_path, "gate", config) == 3
+    assert cause in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"duration": 2.0}, {"shape": "gaussian", "duration": 3.0}],
+)
+def test_gate_non_cyclic_pulse_exits_3(tmp_path, capsys, config):
+    assert run(tmp_path, "gate", config) == 3
+    assert "misses an odd multiple of pi" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 # --- sweep-theta ----------------------------------------------------------
 
 def test_sweep_theta_rows(tmp_path):
@@ -73,9 +97,9 @@ def test_sweep_theta_rows(tmp_path):
 
 
 def test_sweep_theta_deterministic(tmp_path):
-    run(tmp_path, "sweep-theta", extra=["--grid", "11", "--seed", "5"])
+    run(tmp_path, "sweep-theta", extra=["--grid", "11"])
     first = (tmp_path / "out.csv").read_bytes()
-    run(tmp_path, "sweep-theta", extra=["--grid", "11", "--seed", "5"])
+    run(tmp_path, "sweep-theta", extra=["--grid", "11"])
     assert (tmp_path / "out.csv").read_bytes() == first
 
 
@@ -195,8 +219,12 @@ def test_classify_rejects_malformed(tmp_path):
 
 # --- configuration ------------------------------------------------------------
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     assert run(tmp_path, "gate", {"j1_typo": 1.0}) == 2
+    # Nothing in the package is stochastic, so there is no seed to set.
+    assert run(tmp_path, "gate", {"seed": 0}) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -215,12 +243,12 @@ def test_zero_couplings_exit_code(tmp_path):
 
 
 def test_sidecar_round_trips(tmp_path):
-    cfg = {"j1": 1.5, "j2": 1.5, "amplitude": 0.7, "winding": 2, "seed": 9}
+    cfg = {"j1": 1.5, "j2": 1.5, "amplitude": 0.7, "winding": 2, "grid": 9}
     assert run(tmp_path, "gate", cfg) == 0
     payload = json.loads((tmp_path / "out.config.json").read_text())
     loaded = config_from_payload(payload)
     assert loaded == config_from_payload(config_payload(loaded))
-    assert loaded.j1 == 1.5 and loaded.winding == 2 and loaded.seed == 9
+    assert loaded.j1 == 1.5 and loaded.winding == 2 and loaded.grid == 9
     assert loaded.command == "gate"
     assert loaded.out == str(tmp_path / "out")
 

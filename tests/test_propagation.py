@@ -252,3 +252,17 @@ def test_pulse_plan_validation():
         tabulated_pulse([(0.0, 1.0)])  # too few samples
     with pytest.raises(ValueError):
         tabulated_pulse([(0.0, 1.0), (2.0, 1.0), (1.0, 0.5)])  # non-monotone times
+    with pytest.raises(ValueError, match="samples must be finite"):
+        tabulated_pulse([(0.0, 1.0), (math.nan, 1.0)])
+    with pytest.raises(ValueError, match="samples must be finite"):
+        tabulated_pulse([(0.0, 1.0), (0.5, math.nan), (1.0, 0.5)])  # NaN is not the peak
+    with pytest.raises(ValueError, match="finite"):
+        square_pulse(math.nan, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        square_pulse(1.0, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_pulse(1.0, math.inf)
+    with pytest.raises(ValueError, match="positive"):
+        solve_cyclic(1.0, math.nan)
+    with pytest.raises(ZeroCoupling):
+        solve_cyclic(math.nan, 1.0)
