@@ -143,6 +143,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     if values.get("format") not in (None, "csv", "json", "svg"):
         raise ConfigError("field 'format': must be csv, json or svg")
     cfg = RunConfig(**values)
+    for key in ("j1", "j2", "d1", "d2"):
+        value = getattr(cfg, key)
+        if not math.isfinite(value):
+            raise ValueError(f"coupling {key} must be finite, got {value!r}")
     if cfg.grid < 2:
         raise ConfigError("field 'grid': need at least 2 points")
     if cfg.steps < 1:
@@ -258,23 +262,12 @@ def cmd_gate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep_theta(cfg: RunConfig) -> int:
-    thetas = np.linspace(0.0, math.pi / 4, cfg.grid)
-    rows = []
-    for theta in thetas:
-        metrics = gate_metrics(analytic_entangler(float(theta)).matrix)
-        rows.append(
-            (
-                float(theta),
-                metrics.ep,
-                metrics.g1.real,
-                metrics.g1.imag,
-                metrics.g2,
-                metrics.weyl[0],
-                metrics.weyl[1],
-                metrics.weyl[2],
-                metrics.entangler_class,
-            )
-        )
+    thetas = np.linspace(0.0, math.pi / 4, cfg.grid).tolist()
+    gates = np.array([analytic_entangler(theta).matrix for theta in thetas])
+    rows = [
+        (theta, m.ep, m.g1.real, m.g1.imag, m.g2, *m.weyl, m.entangler_class)
+        for theta, m in zip(thetas, gate_metrics(gates))
+    ]
     header = ["theta", "ep", "g1_re", "g1_im", "g2", "c1", "c2", "c3", "class"]
     reports.write_csv(_out_path(cfg, ".csv"), header, rows)
     _write_sidecar(cfg)
@@ -434,8 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON configuration file")
         p.add_argument("--out", help="output path prefix")
         p.add_argument("--format", choices=("csv", "json", "svg"))
-        p.add_argument("--grid", type=int, help="sweep grid size")
-        p.add_argument("--steps", type=int, help="time-ordered step count (sweep-noise)")
+        if name == "sweep-theta":
+            p.add_argument("--grid", type=int, help="theta grid size")
+        if name == "sweep-noise":
+            p.add_argument("--steps", type=int, help="time-ordered step count")
         if name == "classify":
             p.add_argument("matrix", nargs="?", help="file with a 4x4 complex matrix")
     return parser

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitaryInput
-from .linalg import CMatrix, unitarity_defect
+from .linalg import CMatrix, require_unitary
 
 EXTRACT_UNITARY_TOL = 1e-10
 
@@ -48,14 +47,11 @@ def extract_register_gate(u_full: CMatrix) -> RegisterGate:
     Raises
     ------
     NonUnitaryInput
-        If ``u_full`` deviates from unitarity by more than 1e-10.
+        If ``u_full`` deviates from unitarity by more than 1e-10 or has a
+        non-finite entry.
     """
     u_full = np.asarray(u_full, dtype=np.complex128)
-    defect = unitarity_defect(u_full)
-    if defect > EXTRACT_UNITARY_TOL:
-        raise NonUnitaryInput(
-            f"propagator deviates from unitarity by {defect:.3e}"
-        )
+    require_unitary(u_full, "propagator", EXTRACT_UNITARY_TOL)
     block = u_full[:4, :4].copy()
     smin = np.linalg.svd(block, compute_uv=False).min()
     return RegisterGate(matrix=block, leakage=max(0.0, 1.0 - smin * smin))

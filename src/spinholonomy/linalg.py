@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonHermitianInput
+from .errors import NonHermitianInput, NonUnitaryInput
 
 CMatrix = np.ndarray
 
@@ -43,8 +43,20 @@ def hermiticity_defect(m: CMatrix) -> float:
 
 
 def unitarity_defect(u: CMatrix) -> float:
+    """``max|u^dag u - 1|`` of a matrix, or the max over a stack."""
     u = np.asarray(u)
-    return max_abs(dagger(u) @ u - np.eye(u.shape[1]))
+    return max_abs(dagger(u) @ u - np.eye(u.shape[-1]))
+
+
+def require_unitary(u: CMatrix, what: str, tol: float) -> None:
+    """Raise :class:`NonUnitaryInput` unless ``u``, one matrix or a stack,
+    is unitary within ``tol``; a non-finite entry always fails."""
+    defect = unitarity_defect(u)
+    if not defect <= tol:
+        raise NonUnitaryInput(
+            f"{what} has non-finite entries" if not np.isfinite(u).all()
+            else f"{what} deviates from unitarity by {defect:.3e}"
+        )
 
 
 def kron(a: CMatrix, b: CMatrix) -> CMatrix:

@@ -1,7 +1,9 @@
 """Shared test utilities: seeded random matrices and couplings, the
-plain stepped oracle of the amplitude-noise study, and the dense oracle
-of the hyperfine dephasing study."""
+plain stepped oracle of the amplitude-noise study, the dense oracle of
+the hyperfine dephasing study, and the one-gate-at-a-time oracles of the
+stacked invariants."""
 
+import itertools
 import math
 from functools import lru_cache, reduce
 
@@ -11,14 +13,17 @@ from spinholonomy import (
     ExchangeCouplings,
     HyperfineBath,
     QuantumChannel,
+    WEYL_VERTICES,
     analytic_entangler,
     build_hamiltonians,
     couplings_to_polar,
+    entangling_power,
     expm_hermitian,
     process_fidelity,
     propagator_time_ordered,
     square_pulse,
 )
+from spinholonomy.invariants import _PE_EQUATIONS, MAGIC_BASIS
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SPIN = (
@@ -33,6 +38,14 @@ def haar_unitary(rng, n: int) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def haar_stack(rng, p: int) -> np.ndarray:
+    """``(p, 4, 4)`` stack of Haar-random two-qubit unitaries."""
+    z = (rng.standard_normal((p, 4, 4)) + 1j * rng.standard_normal((p, 4, 4))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_matrix(rng, n: int) -> np.ndarray:
@@ -127,3 +140,87 @@ def symmetric_couplings(scale: float, phi1: float, phi2: float) -> ExchangeCoupl
         d1=scale * math.sin(phi1),
         d2=scale * math.sin(phi2),
     )
+
+
+# --- one gate at a time: the invariants -------------------------------------
+
+def _magic_gram(u: np.ndarray) -> np.ndarray:
+    ub = MAGIC_BASIS.conj().T @ u @ MAGIC_BASIS
+    return ub.T @ ub
+
+
+def makhlin_oracle(u: np.ndarray) -> tuple[complex, float]:
+    """(G1, G2) of one 4x4 unitary, in numpy scalar arithmetic."""
+    det = np.linalg.det(u)
+    m = _magic_gram(u)
+    tr = np.trace(m)
+    g1 = tr * tr / (16.0 * det)
+    g2 = (tr * tr - np.trace(m @ m)) / (4.0 * det)
+    return complex(g1), float(g2.real)
+
+
+def _wrap_half_turn(x: float) -> float:
+    y = x % math.pi
+    if y >= math.pi - 1e-12:
+        y -= math.pi
+    return y
+
+
+def _in_chamber(c, tol: float = 1e-9) -> bool:
+    c1, c2, c3 = c
+    if not (c1 >= c2 - tol and c2 >= c3 - tol and c3 >= -tol):
+        return False
+    if c1 + c2 > math.pi + tol:
+        return False
+    if c3 <= tol and c1 > math.pi / 2 + tol:
+        return False
+    return True
+
+
+_SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+
+def weyl_oracle(u: np.ndarray) -> tuple[float, float, float]:
+    """Canonical Weyl point of one 4x4 unitary: the 24 orbit candidates
+    visited in a loop, the lexicographically largest chamber member kept."""
+    u_su = u / np.linalg.det(u) ** 0.25
+    lam = np.sort(np.angle(np.linalg.eigvals(_magic_gram(u_su))) / 2.0)
+    raw = (lam[0] + lam[1], lam[1] + lam[2], lam[0] + lam[2])
+    best = None
+    for perm in itertools.permutations(range(3)):
+        for signs in _SIGN_PATTERNS:
+            cand = tuple(_wrap_half_turn(signs[i] * raw[perm[i]]) for i in range(3))
+            if _in_chamber(cand) and (best is None or cand > best):
+                best = cand
+    return tuple(float(min(max(x, 0.0), math.pi)) for x in best)
+
+
+def _on_segment(p, a, b, tol: float) -> bool:
+    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
+    ab = b - a
+    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
+    t = min(max(t, 0.0), 1.0)
+    return float(np.linalg.norm(p - (a + t * ab))) <= tol
+
+
+def classify_oracle(weyl) -> str:
+    """Entangler class of one canonical Weyl point, test by test."""
+    c = tuple(float(x) for x in weyl)
+    assert _in_chamber(c)
+    l_vertex, a2 = WEYL_VERTICES["L"], WEYL_VERTICES["A2"]
+    if _on_segment(c, l_vertex, a2, 1e-9) and not (
+        float(np.linalg.norm(np.subtract(c, l_vertex))) <= 1e-9
+    ):
+        return "special_perfect"
+    if np.all(_PE_EQUATIONS @ np.append(c, 1.0) <= 1e-9):
+        return "perfect"
+    if all(abs(x) <= 1e-9 for x in c):
+        return "local"
+    return "entangling"
+
+
+def gate_metrics_oracle(u: np.ndarray) -> tuple:
+    """(g1, g2, weyl, ep, class) of one gate by the oracles above."""
+    g1, g2 = makhlin_oracle(u)
+    weyl = weyl_oracle(u)
+    return g1, g2, weyl, entangling_power(g1), classify_oracle(weyl)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,17 @@ def test_classify_rejects_non_unitary(tmp_path):
     assert run(tmp_path, "classify", extra=[path]) == 3
 
 
+def test_classify_nan_entry_exits_3(tmp_path, capsys):
+    rows = [row[:] for row in CNOT_ROWS]
+    rows[2][3] = "nan+0j"
+    path = write_matrix(tmp_path, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "classify", extra=[path]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_classify_rejects_malformed(tmp_path):
     path = write_matrix(tmp_path, CNOT_ROWS[:3])
     assert run(tmp_path, "classify", extra=[path]) == 2
@@ -283,3 +295,36 @@ def test_sweep_dm_nan_ratio_exits_3(tmp_path, capsys):
     assert run(tmp_path, "sweep-dm", {"d1_ratios": [math.nan]}) == 3
     assert "d1" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["gate", "sweep-dm", "sweep-noise", "sweep-dephasing"])
+@pytest.mark.parametrize("key, value", [("j1", math.nan), ("d1", math.inf)])
+def test_non_finite_coupling_exits_3(tmp_path, capsys, command, key, value):
+    assert run(tmp_path, command, {key: value}) == 3
+    assert f"coupling {key} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("gate", "--grid"),
+        ("gate", "--steps"),
+        ("sweep-theta", "--steps"),
+        ("sweep-dm", "--grid"),
+        ("sweep-noise", "--grid"),
+        ("sweep-dephasing", "--steps"),
+        ("classify", "--grid"),
+    ],
+)
+def test_flag_only_where_it_acts(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, extra=[flag, "3"])
+    assert exc.value.code == 2
+    assert list(tmp_path.glob("out*")) == []
+
+
+def test_steps_flag_sets_sweep_noise_steps(tmp_path):
+    cfg = {"ratios1": [20.0], "ratios2": [30.0]}
+    assert run(tmp_path, "sweep-noise", cfg, extra=["--steps", "3"]) == 0
+    assert json.loads((tmp_path / "out.config.json").read_text())["steps"] == 3

@@ -58,6 +58,15 @@ def test_extract_rejects_non_unitary():
         extract_register_gate(1.01 * np.eye(8))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_extract_rejects_non_finite_propagator(bad):
+    u = np.eye(8, dtype=complex)
+    u[5, 2] = bad
+    with pytest.raises(NonUnitaryInput, match="non-finite"):
+        extract_register_gate(u)
+
+
 def test_analytic_theta_zero_is_diagonal():
     g = analytic_entangler(0.0)
     assert max_abs(g.matrix - np.diag([1.0, 1.0, -1.0, -1.0])) == 0

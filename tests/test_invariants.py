@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary, local_product
+from helpers import (
+    gate_metrics_oracle,
+    haar_stack,
+    haar_unitary,
+    local_product,
+    makhlin_oracle,
+    weyl_oracle,
+)
 from spinholonomy import (
     MAX_ENTANGLING_POWER,
     NonCanonicalInput,
@@ -236,3 +243,91 @@ def test_gate_metrics_bundle(rng):
     assert m.entangler_class == "special_perfect"
     assert abs(m.ep - 2 / 9) <= 1e-12
     assert np.allclose(m.weyl, WEYL_VERTICES["A2"], atol=1e-9)
+
+
+# --- stacked evaluation ---------------------------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(size=st.sampled_from([1, 127, 128, 129, 300]), seed=SEEDS)
+def test_stacked_metrics_equal_one_gate_oracle(size, seed):
+    # Sizes around the pass length of 128 cover the pass edges.
+    stack = haar_stack(np.random.default_rng(seed), size)
+    metrics = gate_metrics(stack)
+    assert len(metrics) == size
+    for u, m in zip(stack, metrics):
+        assert (m.g1, m.g2, m.weyl, m.ep, m.entangler_class) == gate_metrics_oracle(u)
+    g1, g2 = makhlin_invariants(stack)
+    assert np.array_equal(g1, [m.g1 for m in metrics])
+    assert np.array_equal(g2, [m.g2 for m in metrics])
+    assert np.array_equal(weyl_coordinates(stack), [m.weyl for m in metrics])
+
+
+def test_single_gate_is_the_one_member_stack(rng):
+    u = haar_unitary(rng, 4)
+    assert gate_metrics(u) == gate_metrics(u[None])[0]
+    assert makhlin_invariants(u) == makhlin_oracle(u)
+    assert weyl_coordinates(u) == weyl_oracle(u)
+
+
+def test_theta_family_stack_equals_oracle():
+    thetas = np.linspace(0.0, math.pi / 4, 201)
+    stack = np.array([family_gate(float(t)) for t in thetas])
+    for u, m in zip(stack, gate_metrics(stack)):
+        assert (m.g1, m.g2, m.weyl, m.ep, m.entangler_class) == gate_metrics_oracle(u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, phase=st.floats(-math.pi, math.pi))
+def test_weyl_point_and_class_locally_invariant(seed, phase):
+    rng = np.random.default_rng(seed)
+    stack = haar_stack(rng, 16)
+    left = np.array([local_product(rng) for _ in stack])
+    right = np.array([local_product(rng) for _ in stack])
+    dressed = np.exp(1j * phase) * (left @ stack @ right)
+    plain, moved = gate_metrics(stack), gate_metrics(dressed)
+    for a, b in zip(plain, moved):
+        assert np.max(np.abs(np.subtract(a.weyl, b.weyl))) <= 1e-9
+        assert a.entangler_class == b.entangler_class
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS)
+def test_invariants_from_weyl_round_trip(seed):
+    stack = haar_stack(np.random.default_rng(seed), 16)
+    g1, g2 = makhlin_invariants(stack)
+    for c, a, b in zip(weyl_coordinates(stack), g1, g2):
+        h1, h2 = invariants_from_weyl(*c)
+        assert abs(h1 - a) <= 1e-9 and abs(h2 - b) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_member_rejected(rng, bad):
+    stack = haar_stack(rng, 5)
+    stack[3, 1, 2] = bad
+    for fn in (gate_metrics, makhlin_invariants, weyl_coordinates):
+        with pytest.raises(NonUnitaryInput, match="non-finite"):
+            fn(stack)
+        with pytest.raises(NonUnitaryInput, match="non-finite"):
+            fn(stack[3])
+
+
+def test_non_unitary_member_rejected(rng):
+    stack = haar_stack(rng, 5)
+    stack[2] *= 1.1
+    with pytest.raises(NonUnitaryInput, match="deviates from unitarity"):
+        gate_metrics(stack)
+    with pytest.raises(NonUnitaryInput, match="4x4"):
+        gate_metrics(np.eye(3))
+
+
+def test_classify_stack_equals_pointwise():
+    points = [WEYL_VERTICES[k] for k in ("O", "L", "Q", "P", "A2", "A3")]
+    points.append((math.pi / 8, math.pi / 8, 0.0))
+    assert classify_entangler(points) == [classify_entangler(p) for p in points]
+    assert classify_entangler(points) == [
+        "local", "perfect", "perfect", "perfect", "special_perfect", "entangling", "entangling"
+    ]
