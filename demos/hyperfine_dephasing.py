@@ -2,13 +2,16 @@
 
 Each of the three electron spins talks to two private spin-1/2 nuclei
 through an isotropic contact interaction with homogeneous coupling A/N.
-The chain-plus-bath (dimension 512) is evolved as a closed system, the
-bath starts maximally mixed, and tracing it out yields 4096 Kraus
-operators.  Fidelity is swept against lambda = N / (A * tau_op), the
-ratio of the hyperfine decoherence time to the gate operation time:
-lambda >= 10 is enough for ~99% fidelity.  The generator is constant and
-conserves total S_z, so each point is one exact exponential per
-magnetization sector (at most 126-dimensional).
+The chain-plus-bath (dimension 512) is evolved as a closed system and the
+bath starts maximally mixed.  With one coupling for every nucleus, each
+electron sees only the total spin of its nuclei, so the bath splits into
+multiplets; tracing it out yields 1,000 Kraus operators, one per pair of
+multiplet states, where the bit basis gives 4,096 for the same channel.
+Fidelity is swept against lambda = N / (A * tau_op), the ratio of the
+hyperfine decoherence time to the gate operation time: lambda >= 10 is
+enough for ~99% fidelity.  The generator is constant and conserves total
+S_z, so each point is one exact exponential per S_z block of the
+multiplets (at most 48-dimensional).
 """
 
 import time
@@ -31,7 +34,7 @@ channel = sh.hyperfine_channel(sh.HyperfineBath.from_ratio(10.0, 1.0), couplings
 print(f"  kraus operators: {channel.kraus.shape[0]}")
 print(f"  completeness defect: {channel.completeness_defect():.2e}")
 
-print("\nsweeping lambda = 1..20 (one exponential per S_z sector each)...")
+print("\nsweeping lambda = 1..20 (one exponential per S_z block each)...")
 start = time.time()
 table = sh.dephasing_sweep(bath, lambdas, couplings)
 print(f"done in {time.time() - start:.1f}s\n")

@@ -38,7 +38,6 @@ from .noise import (
     QuantumChannel,
     SweepTable,
     amplitude_noise_sweep,
-    build_hyperfine_hamiltonian,
     dephasing_sweep,
     dm_sweep,
     hyperfine_channel,
@@ -104,7 +103,6 @@ __all__ = [
     "process_fidelity",
     "dm_sweep",
     "amplitude_noise_sweep",
-    "build_hyperfine_hamiltonian",
     "hyperfine_channel",
     "dephasing_sweep",
     "kron",

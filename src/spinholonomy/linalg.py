@@ -1,8 +1,9 @@
 """Dense complex linear algebra at the small fixed dimensions used here.
 
 Everything operates on ``numpy.ndarray`` with ``complex128`` entries
-(row-major).  Matrices in this package are 4x4, 8x8, or system-plus-bath
-(512 for the default hyperfine bath); double precision leaves orders of
+(row-major).  Matrices in this package are 4x4, 8x8, or S_z blocks of the
+system-plus-bath (at most 48 states for the default hyperfine bath, 512
+for the dense test oracle); double precision leaves orders of
 magnitude of headroom at these sizes, so tolerances are fixed once:
 1e-12 for algebraic identities, 1e-8 for stepped-versus-exact propagator
 comparisons.

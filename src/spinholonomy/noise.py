@@ -29,15 +29,22 @@ shares one envelope and one pair of arm Hamiltonians across its points,
 which differ only in two scalar offsets, so it is stepped once for the
 whole grid: one stacked exponential per pulse step.
 
-The dephasing generator is constant over the square pulse and conserves
-total S_z, so one pulse is exactly one exponential per magnetization
-sector; see :func:`dephasing_sweep`.
+The dephasing generator is constant over the square pulse.  The coupling
+is the same for every nucleus, so each electron's nuclei enter only
+through their total spin: the bath splits into multiplet triples, each
+repeated ``m_t`` times, and total S_z is conserved inside each triple.
+One pulse is therefore exactly one exponential per S_z block of the
+triples, and the dephasing sweep and the Kraus channel share that block
+plan; see :func:`dephasing_sweep` and :func:`hyperfine_channel`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,7 +77,7 @@ class HyperfineBath:
 
     ``total_coupling`` is A; every per-nucleus constant is A/N.  The bath
     Hilbert space has dimension 2**(3N) -- 64 for the default N = 2, giving
-    a 512-dimensional chain-plus-bath space.
+    a 512-dimensional chain-plus-bath space.  N must be an ``int`` >= 1.
     """
 
     total_coupling: float
@@ -78,8 +85,9 @@ class HyperfineBath:
     nuclei_per_electron: int = 2
 
     def __post_init__(self):
-        if self.nuclei_per_electron < 1:
-            raise ValueError("need at least one nucleus per electron")
+        n = self.nuclei_per_electron
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"nuclei_per_electron must be an integer >= 1, got {n!r}")
         if not (math.isfinite(self.op_time) and self.op_time > 0):
             raise ValueError(f"op_time must be positive and finite, got {self.op_time!r}")
         if not math.isfinite(self.total_coupling):
@@ -102,10 +110,24 @@ class HyperfineBath:
     def from_ratio(
         cls, lam: float, op_time: float, nuclei_per_electron: int = 2
     ) -> "HyperfineBath":
-        """Bath with coupling A = N / (lambda * tau_op); lambda = inf is no bath."""
+        """Bath with coupling A = N / (lambda * tau_op); lambda = inf is no bath.
+
+        Raises
+        ------
+        ValueError
+            If lambda is not positive, ``op_time`` or N is invalid, or A
+            overflows (``lambda * tau_op`` too small).
+        """
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam!r}")
-        a = nuclei_per_electron / (lam * op_time)
+        cls(0.0, op_time, nuclei_per_electron)  # checks op_time and N before dividing
+        rate = lam * op_time
+        a = nuclei_per_electron / rate if rate > 0 else math.inf
+        if math.isinf(a):
+            raise ValueError(
+                f"hyperfine coupling A = N / (lambda * op_time) overflows at "
+                f"lambda = {lam!r}, op_time = {op_time!r}"
+            )
         return cls(total_coupling=a, op_time=op_time, nuclei_per_electron=nuclei_per_electron)
 
 
@@ -259,110 +281,137 @@ def amplitude_noise_sweep(
     )
 
 
-def _sector_states(nuclei: int, dim_cap: int) -> list[np.ndarray]:
-    """Basis indices of each total-S_z sector of the chain-plus-bath space.
+def _multiplicity(nuclei: int, twice_j: int) -> int:
+    """Number of spin-j multiplets, ``j = twice_j / 2``, among ``nuclei``
+    spin-1/2s: ``C(N, N/2 - j) - C(N, N/2 - j - 1)``."""
+    k = (nuclei - twice_j) // 2
+    return math.comb(nuclei, k) - (math.comb(nuclei, k - 1) if k else 0)
 
-    Index ``c * 2**(3N) + b`` is ``|chain c> (x) |bath b>``; site ``p`` of
-    the ``3 + 3N`` (a, 1, 2, then the nuclei by electron) is bit
-    ``2 + 3N - p``.  Sector ``k`` holds the ascending indices with ``k``
-    spins down.
 
-    Raises
-    ------
-    DimensionOverflow
-        If ``8 * 2**(3N)`` exceeds ``dim_cap``.
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """The total-S_z blocks of one dimension d, stacked: G blocks.
+
+    A block state is ``|chain c> (x) |mu>`` with ``mu`` a state of the
+    block's multiplet triple.  ``pair`` numbers the bath pair
+    ``(mu', mu)`` of each entry ``<c', mu'|U|c, mu>`` across all triples;
+    the entries between ancilla-|0> chain states (``c, c' < 4``) sit at
+    the flat positions ``register`` of a ``(G, d, d)`` stack, and
+    ``target`` is the flat index ``4 c' + c`` of the target entry that
+    weighs each of them.
     """
-    sites = 3 + 3 * nuclei
-    dim = 1 << sites
-    if dim > dim_cap:
-        raise DimensionOverflow(
-            f"chain-plus-bath dimension {dim} exceeds cap {dim_cap}"
-        )
-    index = np.arange(dim)
-    down = sum((index >> p) & 1 for p in range(sites))
-    return [np.flatnonzero(down == k) for k in range(sites + 1)]
+
+    contact: np.ndarray  # (G, d, d): blocks of (1/N) sum_l S^(l) . J^(l)
+    chain: np.ndarray  # (G, d)
+    bath: np.ndarray  # (G, d)
+    pair: np.ndarray  # (G, d, d)
+    register: np.ndarray
+    target: np.ndarray
 
 
-def _contact_block(states: np.ndarray, nuclei: int) -> np.ndarray:
-    """Sector block of ``sum_{l,k} (1/N) S^(l) . I^(l,k)`` (real).
+@dataclass(frozen=True, eq=False)
+class _MultipletPlan:
+    """Every S_z block of the contact term, grouped by dimension, and the
+    multiplicity ``m_t`` of the triple of each bath pair."""
 
-    ``S . I = Sz Iz + (S+ I- + S- I+) / 2`` is +1/4 on aligned and -1/4 on
-    opposite spins, and exchanges opposite spins with amplitude 1/2.
+    groups: tuple[_Blocks, ...]
+    weight: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _multiplet_plan(nuclei: int) -> _MultipletPlan:
+    """Block structure of the unit contact term; it depends on N alone.
+
+    With one coupling for every nucleus, ``sum_k S^(l) . I^(l,k) =
+    S^(l) . J^(l)`` with ``J^(l)`` the total spin of electron ``l``'s
+    nuclei, so each electron's bath splits into spin-j multiplets, ``m_N(j)``
+    copies each.  The contact term acts identically on the
+    ``m_t = m(j_a) m(j_1) m(j_2)`` copies of each multiplet triple
+    ``t = (j_a, j_1, j_2)`` and conserves the total S_z inside it; the
+    blocks are built from the ladder elements ``sqrt(j(j+1) - m(m+1))``.
+    Multiplet states run from ``m = j`` down, as chain states run from up
+    (bit 0) to down.
     """
-    sites = 3 + 3 * nuclei
-    block = np.zeros((len(states), len(states)))
-    diag = np.zeros(len(states))
-    for l in range(3):
-        for k in range(nuclei):
-            e_bit = sites - 1 - l
-            n_bit = sites - 4 - l * nuclei - k
-            opposite = ((states >> e_bit) ^ (states >> n_bit)) & 1
-            diag += 0.25 - 0.5 * opposite
-            flip = np.flatnonzero(opposite)
-            swapped = states[flip] ^ ((1 << e_bit) | (1 << n_bit))
-            block[np.searchsorted(states, swapped), flip] = 0.5
-    np.fill_diagonal(block, diag)
-    return block / nuclei
+    by_dim = defaultdict(list)
+    weight = []
+    for twice_j in itertools.product(range(nuclei % 2, nuclei + 1, 2), repeat=3):
+        sizes = tuple(tj + 1 for tj in twice_j)
+        nb = math.prod(sizes)
+        strides = (sizes[1] * sizes[2], sizes[2], 1)
+        chain, bath = np.divmod(np.arange(8 * nb), nb)
+        down = (chain[:, None] >> np.array([2, 1, 0])) & 1  # electrons a, 1, 2
+        twice_m = np.array(twice_j) - 2 * np.stack(np.unravel_index(bath, sizes), axis=1)
+        twice_mz = np.sum(1 - 2 * down + twice_m, axis=1)
+        offset = len(weight)
+        for mz in np.unique(twice_mz):
+            states = np.flatnonzero(twice_mz == mz)
+            contact = np.diag(np.sum((1 - 2 * down[states]) * twice_m[states], axis=1) / 4.0)
+            for l, (tj, stride) in enumerate(zip(twice_j, strides)):
+                # S^- J^+ / 2: electron l up -> down, its multiplet m -> m + 1.
+                up = states[(down[states, l] == 0) & (twice_m[states, l] < tj)]
+                tm = twice_m[up, l]
+                rows = np.searchsorted(states, up + (4 >> l) * nb - stride)
+                cols = np.searchsorted(states, up)
+                contact[rows, cols] = contact[cols, rows] = 0.25 * np.sqrt(
+                    (tj - tm) * (tj + tm + 2)
+                )
+            c, mu = chain[states], bath[states]
+            pair = offset + mu[:, None] * nb + mu[None, :]
+            by_dim[len(states)].append((contact / nuclei, c, mu, pair))
+        weight += [math.prod(_multiplicity(nuclei, tj) for tj in twice_j)] * nb * nb
+
+    groups = []
+    for _, blocks in sorted(by_dim.items()):
+        contact, chain, bath, pair = (np.stack(parts) for parts in zip(*blocks))
+        inside = chain < 4
+        register = np.flatnonzero(inside[:, :, None] & inside[:, None, :])
+        target = (4 * chain[:, :, None] + chain[:, None, :]).ravel()[register]
+        groups.append(_Blocks(contact, chain, bath, pair, register, target))
+    plan = _MultipletPlan(groups=tuple(groups), weight=np.array(weight))
+    for group in plan.groups:
+        for array in vars(group).values():
+            array.setflags(write=False)
+    plan.weight.setflags(write=False)
+    return plan
 
 
-def _chain_block(h0: CMatrix, states: np.ndarray, nuclei: int) -> CMatrix:
-    """Sector block of ``H0 (x) 1_bath``: chain entries between equal bath states."""
-    bits = 3 * nuclei
-    chain, bath = states >> bits, states & ((1 << bits) - 1)
-    return np.where(bath[:, None] == bath[None, :], h0[np.ix_(chain, chain)], 0.0)
-
-
-def _scatter(blocks, dim: int) -> CMatrix:
-    """Dense operator from ``(basis indices, block)`` pairs of disjoint sectors."""
-    dense = np.zeros((dim, dim), dtype=np.complex128)
-    for states, block in blocks:
-        dense[np.ix_(states, states)] = block
-    return dense
-
-
-def build_hyperfine_hamiltonian(
-    bath: HyperfineBath, dim_cap: int = DEFAULT_DIM_CAP
-) -> CMatrix:
-    """Isotropic contact interaction of each electron with its own nuclei.
-
-    Returns the chain-plus-bath operator
-    ``sum_{l,k} (A/N) S^(l) . I^(l,k)`` where electron ``l`` couples only
-    to its ``N`` private nuclei; nuclei are ordered by electron (a, 1, 2).
-    The interaction conserves total magnetization; the dense matrix is
-    assembled from its total-S_z sector blocks.
-
-    Raises
-    ------
-    DimensionOverflow
-        If ``8 * 2**(3N)`` exceeds ``dim_cap``.
-    """
-    n = bath.nuclei_per_electron
-    sectors = _sector_states(n, dim_cap)
-    return _scatter(
-        ((s, bath.total_coupling * _contact_block(s, n)) for s in sectors),
-        8 * bath.bath_dim,
-    )
-
-
-def _pulse_sectors(
+def _pulse_blocks(
     bath: HyperfineBath, couplings: ExchangeCouplings, dim_cap: int
-) -> list[tuple[np.ndarray, CMatrix, np.ndarray]]:
-    """Per total-S_z sector: basis indices, drive block and unit contact block.
+) -> tuple[_MultipletPlan, list[CMatrix]]:
+    """The plan for ``bath``'s N and, per block group, the drive blocks.
 
     The drive is ``amplitude * H0 (x) 1_bath`` for the square pulse
-    calibrated cyclic over ``bath.op_time``; with the static bath the
-    generator ``drive + A * contact`` is constant over the pulse.
+    calibrated cyclic over ``bath.op_time``: chain entries between equal
+    bath states.  With the static bath the generator
+    ``drive + A * contact`` is constant over the pulse.
+
+    Raises
+    ------
+    ValueError
+        If a coupling is not finite.
+    DimensionOverflow
+        If ``8 * 2**(3N)`` exceeds ``dim_cap``.
     """
     values = (couplings.j1, couplings.j2, couplings.d1, couplings.d2)
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"exchange couplings must be finite, got {values}")
+    dim = 8 * bath.bath_dim
+    if dim > dim_cap:
+        raise DimensionOverflow(
+            f"chain-plus-bath dimension {dim} exceeds cap {dim_cap}"
+        )
     amplitude = math.pi / (bath.op_time * couplings_to_polar(couplings).omega)
-    h0 = build_hamiltonians(couplings).h_eff
-    n = bath.nuclei_per_electron
-    return [
-        (s, amplitude * _chain_block(h0, s, n), _contact_block(s, n))
-        for s in _sector_states(n, dim_cap)
+    h0 = amplitude * build_hamiltonians(couplings).h_eff
+    plan = _multiplet_plan(bath.nuclei_per_electron)
+    drives = [
+        np.where(
+            g.bath[:, :, None] == g.bath[:, None, :],
+            h0[g.chain[:, :, None], g.chain[:, None, :]],
+            0.0,
+        )
+        for g in plan.groups
     ]
+    return plan, drives
 
 
 def hyperfine_channel(
@@ -375,41 +424,27 @@ def hyperfine_channel(
     The chain-plus-bath evolves under
     ``envelope(t) * H0 (x) 1_bath + H_hyperfine`` for the square pulse
     calibrated cyclic over ``bath.op_time``; the bath starts maximally
-    mixed (unpolarized nuclei), so the Kraus operators are
-    ``M_ij = <j|U|i> / sqrt(bath_dim)`` over bath basis states.  The
-    generator is constant, so U is exactly one exponential per total-S_z
-    sector, scattered into the dense chain-plus-bath matrix.
+    mixed (unpolarized nuclei).  The evolution is ``U_t`` on each of the
+    ``m_t`` copies of multiplet triple ``t`` (one exponential per S_z
+    block), so tracing the bath out leaves one Kraus operator
+    ``sqrt(m_t / d_b) <c', mu'|U_t|c, mu>`` per bath pair ``(mu', mu)``
+    of each triple: 1,000 at N = 2.  This is the same map as the
+    ``d_b**2`` operators ``<j|U|i> / sqrt(d_b)`` over bath basis states.
+
+    Raises
+    ------
+    ValueError
+        If a coupling is not finite, before any exponential.
+    DimensionOverflow
+        If ``8 * 2**(3N)`` exceeds ``dim_cap``.
     """
-    dim_b = bath.bath_dim
-    u = _scatter(
-        (
-            (s, expm_hermitian(drive + bath.total_coupling * contact, bath.op_time))
-            for s, drive, contact in _pulse_sectors(bath, couplings, dim_cap)
-        ),
-        8 * dim_b,
-    )
-    # M_ij[s, s'] = <s, j| U |s', i> / sqrt(dim_b)
-    u4 = u.reshape(8, dim_b, 8, dim_b)
-    kraus = (
-        np.transpose(u4, (1, 3, 0, 2)).reshape(dim_b * dim_b, 8, 8)
-        / math.sqrt(dim_b)
-    )
+    plan, drives = _pulse_blocks(bath, couplings, dim_cap)
+    scale = np.sqrt(plan.weight / bath.bath_dim)
+    kraus = np.zeros((len(plan.weight), 8, 8), dtype=np.complex128)
+    for g, drive in zip(plan.groups, drives):
+        u = expm_hermitian(drive + bath.total_coupling * g.contact, bath.op_time)
+        kraus[g.pair, g.chain[:, :, None], g.chain[:, None, :]] = scale[g.pair] * u
     return QuantumChannel(kraus=kraus)
-
-
-def _register_terms(states: np.ndarray, target: CMatrix, nuclei: int):
-    """Where a sector's ancilla-|0> block lands in the overlap ``O[j, i]``.
-
-    Returns the block's positions in the sector, the flat index
-    ``j * bath_dim + i`` of each of its entries ``<s, j|U|s', i>`` and the
-    weight ``conj(V[s, s'])`` it carries.
-    """
-    bits = 3 * nuclei
-    register = np.flatnonzero(states < (4 << bits))
-    chain = states[register] >> bits
-    bath = states[register] & ((1 << bits) - 1)
-    pair = (bath[:, None] << bits) | bath[None, :]
-    return register, pair, target.conj()[np.ix_(chain, chain)]
 
 
 def dephasing_sweep(
@@ -424,13 +459,25 @@ def dephasing_sweep(
     ``op_time`` so the pulse calibration never changes.  Requires
     couplings at the maximally entangling point theta = pi/4.
 
-    Each point exponentiates ``drive + A * contact`` once per total-S_z
-    sector and contracts the process fidelity of the Kraus family
-    ``M_ij = <j|U|i> / sqrt(d_b)`` directly from the ancilla-|0> blocks,
+    Each point exponentiates ``drive + A * contact`` once per S_z block of
+    the multiplet triples (one stacked call per block dimension; at most
+    48 states at N = 2 and 92 at N = 3) and contracts the process fidelity
+    directly from the ancilla-|0> entries of the blocks,
 
-        F = sum_{ij} |sum_{s,s'} conj(V[s, s']) <s, j|U|s', i>|^2 / (16 d_b),
+        O_t[mu', mu] = sum_{s,s'} conj(V[s, s']) <s, mu'|U_t|s', mu>,
+        F = sum_t m_t ||O_t||^2 / (16 d_b),
 
-    without forming U or the Kraus operators.
+    without forming U or the Kraus operators.  The Frobenius norm does not
+    depend on the bath basis, so this is the fidelity of the bit-basis
+    Kraus family ``<j|U|i> / sqrt(d_b)``.
+
+    Raises
+    ------
+    ValueError
+        If theta is not pi/4, a lambda is not positive or a coupling is
+        not finite, before any exponential.
+    DimensionOverflow
+        If ``8 * 2**(3N)`` exceeds ``dim_cap``, before any exponential.
     """
     polar = couplings_to_polar(couplings)
     if not abs(polar.theta - math.pi / 4) <= 1e-9:
@@ -444,17 +491,24 @@ def dephasing_sweep(
     # Only the overall bath coupling A = N / (lambda * tau) varies with
     # lambda; every lambda is checked before any work starts.
     totals = [HyperfineBath.from_ratio(lam, tau, n).total_coupling for lam in lambdas]
-    sectors = _pulse_sectors(bath_template, couplings, dim_cap)
-    terms = [_register_terms(s, target, n) for s, _, _ in sectors]
-    dim_b = bath_template.bath_dim
+    plan, drives = _pulse_blocks(bath_template, couplings, dim_cap)
+    pairs = np.concatenate([g.pair.ravel()[g.register] for g in plan.groups])
+    weights = np.concatenate([target.conj().ravel()[g.target] for g in plan.groups])
+    size = len(plan.weight)
 
     values = []
     for a_total in totals:
-        overlap = np.zeros(dim_b * dim_b, dtype=np.complex128)
-        for (_, drive, contact), (register, pair, weight) in zip(sectors, terms):
-            u = expm_hermitian(drive + a_total * contact, tau)
-            np.add.at(overlap, pair, weight * u[np.ix_(register, register)])
-        values.append(float(np.vdot(overlap, overlap).real / (16.0 * dim_b)))
+        entries = weights * np.concatenate(
+            [
+                expm_hermitian(drive + a_total * g.contact, tau).reshape(-1)[g.register]
+                for g, drive in zip(plan.groups, drives)
+            ]
+        )
+        overlap = np.bincount(pairs, entries.real, size) + 1j * np.bincount(
+            pairs, entries.imag, size
+        )
+        norms = plan.weight @ (overlap.real**2 + overlap.imag**2)
+        values.append(float(norms / (16.0 * bath_template.bath_dim)))
     return SweepTable(
         axis_names=("lambda",),
         axis_values=(lambdas,),
@@ -469,7 +523,6 @@ __all__ = [
     "process_fidelity",
     "dm_sweep",
     "amplitude_noise_sweep",
-    "build_hyperfine_hamiltonian",
     "hyperfine_channel",
     "dephasing_sweep",
     "DEFAULT_STEPS",

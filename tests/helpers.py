@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random matrices and couplings, the
-plain stepped oracle of the amplitude-noise study, the dense oracle of
-the hyperfine dephasing study, and the one-gate-at-a-time oracles of the
-stacked invariants."""
+plain stepped oracle of the amplitude-noise study, the dense and the
+bit-basis S_z-sector oracles of the hyperfine dephasing study, and the
+one-gate-at-a-time oracles of the stacked invariants."""
 
 import itertools
 import math
@@ -130,6 +130,82 @@ def dense_dephasing_fidelity(
     kraus = np.transpose(u4, (1, 3, 0, 2)).reshape(d_b * d_b, 8, 8) / math.sqrt(d_b)
     target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
     return process_fidelity(target, QuantumChannel(kraus=kraus))
+
+
+def dense_pulse_generator(bath: HyperfineBath, couplings: ExchangeCouplings) -> np.ndarray:
+    """The constant generator ``amp * H0 (x) 1 + A * H_hf`` of the square
+    pulse calibrated cyclic over ``bath.op_time``, dense in the bit basis."""
+    amplitude = math.pi / (bath.op_time * couplings_to_polar(couplings).omega)
+    h_chain = np.kron(build_hamiltonians(couplings).h_eff, np.eye(bath.bath_dim))
+    return amplitude * h_chain + dense_hyperfine_hamiltonian(bath)
+
+
+def dense_hyperfine_kraus(bath: HyperfineBath, couplings: ExchangeCouplings) -> np.ndarray:
+    """The ``d_b**2`` bit-basis Kraus operators ``M_ij = <j|U|i> / sqrt(d_b)``
+    of one pulse, U from one exponential of the dense generator."""
+    d_b = bath.bath_dim
+    u = expm_hermitian(dense_pulse_generator(bath, couplings), bath.op_time)
+    u4 = u.reshape(8, d_b, 8, d_b)
+    return np.transpose(u4, (1, 3, 0, 2)).reshape(d_b * d_b, 8, 8) / math.sqrt(d_b)
+
+
+def choi_matrix(kraus: np.ndarray) -> np.ndarray:
+    """``sum_k vec(K_k) vec(K_k)^dag``: equal for two Kraus families exactly
+    when they describe the same channel."""
+    vec = kraus.reshape(len(kraus), -1)
+    return vec.T @ vec.conj()
+
+
+# --- bit-basis S_z sectors: the N = 3 dephasing oracle ----------------------
+#
+# Index ``c * 2**(3N) + b`` is ``|chain c> (x) |bath b>``; site ``p`` of the
+# ``3 + 3N`` (a, 1, 2, then the nuclei by electron) is bit ``2 + 3N - p``,
+# and bit 1 is spin down.
+
+def _sector_contact(states: np.ndarray, nuclei: int) -> np.ndarray:
+    """Sector block of ``sum_{l,k} (1/N) S^(l) . I^(l,k)``: +1/4 on aligned
+    and -1/4 on opposite spins, exchange of opposite spins with 1/2."""
+    sites = 3 + 3 * nuclei
+    block = np.zeros((len(states), len(states)))
+    diag = np.zeros(len(states))
+    for l in range(3):
+        for k in range(nuclei):
+            e_bit = sites - 1 - l
+            n_bit = sites - 4 - l * nuclei - k
+            opposite = ((states >> e_bit) ^ (states >> n_bit)) & 1
+            diag += 0.25 - 0.5 * opposite
+            flip = np.flatnonzero(opposite)
+            swapped = states[flip] ^ ((1 << e_bit) | (1 << n_bit))
+            block[np.searchsorted(states, swapped), flip] = 0.5
+    np.fill_diagonal(block, diag)
+    return block / nuclei
+
+
+def sector_dephasing_fidelity(bath: HyperfineBath, couplings: ExchangeCouplings) -> float:
+    """Process fidelity of one calibrated square pulse under the bath, by one
+    exponential per total-S_z sector of the bit basis (at most 924 states at
+    N = 3) and the overlap ``O[j, i] = sum_ss' conj(V[s, s']) <s, j|U|s', i>``,
+    ``F = ||O||^2 / (16 d_b)``."""
+    n, d_b = bath.nuclei_per_electron, bath.bath_dim
+    bits = 3 * n
+    polar = couplings_to_polar(couplings)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
+    amplitude = math.pi / (bath.op_time * polar.omega)
+    h0 = build_hamiltonians(couplings).h_eff
+    index = np.arange(8 * d_b)
+    down = sum((index >> p) & 1 for p in range(3 + bits))
+    overlap = np.zeros(d_b * d_b, dtype=np.complex128)
+    for k in range(4 + bits):
+        states = np.flatnonzero(down == k)
+        chain, b = states >> bits, states & (d_b - 1)
+        drive = np.where(b[:, None] == b[None, :], h0[np.ix_(chain, chain)], 0.0)
+        generator = amplitude * drive + bath.total_coupling * _sector_contact(states, n)
+        u = expm_hermitian(generator, bath.op_time)
+        register = np.flatnonzero(chain < 4)
+        pair = (b[register][:, None] << bits) | b[register][None, :]
+        weight = target.conj()[np.ix_(chain[register], chain[register])]
+        np.add.at(overlap, pair, weight * u[np.ix_(register, register)])
+    return float(np.vdot(overlap, overlap).real / (16.0 * d_b))
 
 
 def symmetric_couplings(scale: float, phi1: float, phi2: float) -> ExchangeCouplings:

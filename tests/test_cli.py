@@ -285,6 +285,15 @@ def test_sweep_dephasing_nan_lambda_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("config", [{"op_time": 1e-320}, {"lambdas": [1e-320]}])
+def test_sweep_dephasing_coupling_overflow_exits_3(tmp_path, capsys, config):
+    # A = N / (lambda * op_time) overflows: the message names both causes.
+    assert run(tmp_path, "sweep-dephasing", config) == 3
+    err = capsys.readouterr().err
+    assert "overflows" in err and "lambda" in err and "op_time" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_noise_nan_ratio_exits_3(tmp_path, capsys):
     assert run(tmp_path, "sweep-noise", {"ratios2": [10.0, math.nan]}) == 3
     assert "ratio2" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinholonomy import (
@@ -18,7 +18,6 @@ from spinholonomy import (
     analytic_entangler,
     arm_hamiltonians,
     build_hamiltonians,
-    build_hyperfine_hamiltonian,
     couplings_to_polar,
     dephasing_sweep,
     dm_sweep,
@@ -35,10 +34,14 @@ from spinholonomy import (
     tabulated_pulse,
 )
 from spinholonomy.linalg import hermiticity_defect, max_abs
+from spinholonomy.noise import DEFAULT_DIM_CAP, _multiplet_plan, _pulse_blocks
 
 from helpers import (
+    choi_matrix,
     dense_dephasing_fidelity,
-    dense_hyperfine_hamiltonian,
+    dense_hyperfine_kraus,
+    dense_pulse_generator,
+    sector_dephasing_fidelity,
     stepped_amplitude_fidelity,
     symmetric_couplings,
 )
@@ -238,41 +241,31 @@ def test_dm_sweep_rejects_bad_ratio_at_entry(no_exponentials, bad):
 
 # --- hyperfine bath -----------------------------------------------------
 
-def test_hyperfine_zero_coupling_is_zero_operator():
-    bath = HyperfineBath(total_coupling=0.0, op_time=1.0, nuclei_per_electron=1)
-    assert max_abs(build_hyperfine_hamiltonian(bath)) == 0.0
-
-
-def test_hyperfine_hermitian():
-    bath = HyperfineBath(total_coupling=0.7, op_time=1.0, nuclei_per_electron=1)
-    assert hermiticity_defect(build_hyperfine_hamiltonian(bath)) <= 1e-14
-
-
-def test_hyperfine_conserves_total_magnetization():
-    # Isotropic contact coupling commutes with the total spin-z of
-    # electrons plus nuclei.
-    bath = HyperfineBath(total_coupling=1.3, op_time=1.0, nuclei_per_electron=1)
-    h = build_hyperfine_hamiltonian(bath)
-    sz = np.diag([0.5, -0.5]).astype(complex)
-    dim = 8 * bath.bath_dim
-    total_sz = np.zeros((dim, dim), dtype=complex)
-    for site in range(6):  # 3 electrons + 3 nuclei
-        ops = [np.eye(2, dtype=complex)] * 6
-        ops[site] = sz
-        full = ops[0]
-        for o in ops[1:]:
-            full = np.kron(full, o)
-        total_sz += full
-    assert max_abs(h @ total_sz - total_sz @ h) <= 1e-12
-
-
-def test_hyperfine_dimension_cap():
+def test_hyperfine_dimension_cap(no_exponentials):
+    # N = 4 is 8 * 2**12 = 32768 > 4096; N = 3 sits exactly at the default
+    # cap and is allowed (test_sweep_and_channel_match_sector_oracle_at_n3).
     big = HyperfineBath(total_coupling=1.0, op_time=1.0, nuclei_per_electron=4)
     with pytest.raises(DimensionOverflow):
-        build_hyperfine_hamiltonian(big)
-    # N = 3 sits exactly at the default cap and is allowed
+        dephasing_sweep(big, [5.0], SYM)
+    with pytest.raises(DimensionOverflow):
+        hyperfine_channel(big, SYM)
     edge = HyperfineBath(total_coupling=1.0, op_time=1.0, nuclei_per_electron=3)
-    assert build_hyperfine_hamiltonian(edge).shape == (4096, 4096)
+    with pytest.raises(DimensionOverflow):
+        hyperfine_channel(edge, SYM, dim_cap=4095)
+
+
+@pytest.mark.parametrize("nuclei", [1.5, 2.0, True])
+def test_bath_rejects_non_integer_nuclei(nuclei):
+    with pytest.raises(ValueError, match="nuclei_per_electron"):
+        HyperfineBath(total_coupling=0.0, op_time=1.0, nuclei_per_electron=nuclei)
+    with pytest.raises(ValueError, match="nuclei_per_electron"):
+        HyperfineBath.from_ratio(5.0, 1.0, nuclei)
+
+
+def test_bath_coupling_overflow_names_lambda_and_op_time():
+    for lam, op_time in ((5.0, 1e-320), (1e-320, 1.0)):
+        with pytest.raises(ValueError, match=r"overflows at lambda = .*, op_time = "):
+            HyperfineBath.from_ratio(lam, op_time)
 
 
 def test_bath_ratio_round_trip():
@@ -286,7 +279,7 @@ def test_channel_completeness():
     for lam in (2.0, 9.0):
         channel = hyperfine_channel(HyperfineBath.from_ratio(lam, 1.0), SYM)
         assert channel.completeness_defect() <= 1e-9
-        assert channel.kraus.shape == (4096, 8, 8)
+        assert channel.kraus.shape == (1000, 8, 8)
 
 
 def test_dephasing_decoupled_limit():
@@ -321,7 +314,7 @@ def test_dephasing_sweep_respects_dim_cap():
         dephasing_sweep(bath, [5.0], SYM, dim_cap=100)
 
 
-# --- sector engine against the dense oracle ------------------------------
+# --- multiplet engine against the dense and sector oracles -----------------
 
 SCALES = st.floats(0.5, 2.0)
 DM_ANGLES = st.floats(-0.5, 0.5)
@@ -342,10 +335,66 @@ def test_dephasing_sweep_matches_dense_oracle(nuclei, scale, phi1, phi2, op_time
 
 @pytest.mark.parametrize("nuclei", [1, 2])
 @settings(max_examples=10, deadline=None)
-@given(coupling=st.floats(-2.0, 2.0))
-def test_hyperfine_hamiltonian_matches_dense_oracle(nuclei, coupling):
+@given(coupling=st.floats(-2.0, 2.0), scale=SCALES, phi1=DM_ANGLES, phi2=DM_ANGLES)
+@example(coupling=0.0, scale=1.0, phi1=0.0, phi2=0.0)
+def test_block_spectrum_matches_dense_oracle(nuclei, coupling, scale, phi1, phi2):
+    # Each block of triple t acts on m_t copies, so the block spectra, each
+    # repeated m_t times, are the spectrum of the dense bit-basis generator.
+    # Together with hermiticity this pins the contact and drive blocks and
+    # S_z conservation up to a change of basis.  The spectra come from eigh,
+    # as in expm_hermitian: the values-only eigvalsh (OpenBLAS 0.3.31) lost
+    # 7e-11 on a block with entries near 1e-87, where eigh stayed at 1e-14.
+    couplings = symmetric_couplings(scale, phi1, phi2)
     bath = HyperfineBath(coupling, 1.0, nuclei)
-    assert max_abs(build_hyperfine_hamiltonian(bath) - dense_hyperfine_hamiltonian(bath)) <= 1e-15
+    plan, drives = _pulse_blocks(bath, couplings, DEFAULT_DIM_CAP)
+    spectra = []
+    for g, drive in zip(plan.groups, drives):
+        assert np.array_equal(g.contact, np.swapaxes(g.contact, 1, 2))
+        h = drive + coupling * g.contact
+        assert hermiticity_defect(h) <= 1e-14
+        copies = plan.weight[g.pair[:, 0, 0]]  # m_t of each block's triple
+        spectra.append(np.repeat(np.linalg.eigh(h)[0], copies, axis=0).ravel())
+    want = np.linalg.eigh(dense_pulse_generator(bath, couplings))[0]
+    assert max_abs(np.sort(np.concatenate(spectra)) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("nuclei", [1, 2, 3, 4])
+def test_multiplet_plan_covers_the_bath_once(nuclei):
+    # sum over blocks of m_t * dim is 8 * 2**(3N): every chain-plus-bath
+    # state in exactly one block copy; the plan is built once and read-only.
+    plan = _multiplet_plan(nuclei)
+    covered = sum(
+        int(plan.weight[g.pair[:, 0, 0]].sum()) * g.contact.shape[1] for g in plan.groups
+    )
+    assert covered == 8 * 2 ** (3 * nuclei)
+    assert _multiplet_plan(nuclei) is plan
+    with pytest.raises(ValueError):
+        plan.groups[0].contact[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("nuclei", [1, 2])
+@pytest.mark.parametrize("lam", [2.0, 9.0])
+def test_channel_choi_matches_dense_bit_basis_channel(nuclei, lam):
+    couplings = symmetric_couplings(1.3, 0.2, -0.35)
+    bath = HyperfineBath.from_ratio(lam, 1.2, nuclei)
+    kraus = hyperfine_channel(bath, couplings).kraus
+    assert max_abs(choi_matrix(kraus) - choi_matrix(dense_hyperfine_kraus(bath, couplings))) <= 1e-12
+
+
+def test_sweep_and_channel_match_sector_oracle_at_n3():
+    # N = 3 is the first N with a multiplicity above 1 (two j = 1/2
+    # multiplets per electron), so it checks the weights m_t.
+    couplings = symmetric_couplings(1.2, 0.3, -0.2)
+    bath = HyperfineBath.from_ratio(4.0, 0.9, 3)
+    want = sector_dephasing_fidelity(bath, couplings)
+    table = dephasing_sweep(HyperfineBath(0.0, 0.9, 3), [4.0], couplings)
+    assert abs(table.fidelity[0] - want) <= 1e-12
+    channel = hyperfine_channel(bath, couplings)
+    assert channel.kraus.shape == (8000, 8, 8)
+    assert channel.completeness_defect() <= 1e-9
+    polar = couplings_to_polar(couplings)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
+    assert abs(process_fidelity(target, channel) - want) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)
