@@ -1,9 +1,14 @@
 """Command-line surface: gate reports, sweeps, and gate classification.
 
 Configuration is a flat JSON file; command-line flags override file
-values.  Unknown keys are rejected so typos in physics parameters fail
-loudly.  Exit codes: 0 success, 2 configuration/parse error, 3 numerical
-precondition failure.
+values.  ``COMMANDS`` maps each command to the keys it reads besides
+``command`` and ``out``.  That table registers the ``--format``,
+``--grid`` and ``--steps`` flags and the ``classify`` matrix argument
+only where they act, refuses any other config key (so a typo or a
+setting that would change nothing fails loudly), and fixes what the
+``<out>.config.json`` sidecar records.  Every sweep writes its CSV,
+sidecar and optional JSON or SVG through one emitter.  Exit codes: 0
+success, 2 configuration/parse error, 3 numerical precondition failure.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +45,6 @@ from .propagation import (
     tabulated_pulse,
 )
 from .spin_chain import ExchangeCouplings, build_hamiltonians, couplings_to_polar
-
-COMMANDS = (
-    "gate",
-    "sweep-theta",
-    "sweep-dm",
-    "sweep-noise",
-    "sweep-dephasing",
-    "classify",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -83,7 +78,8 @@ class RunConfig:
         return ExchangeCouplings(j1=self.j1, j2=self.j2, d1=self.d1, d2=self.d2)
 
 
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+_COUPLING_KEYS = ("j1", "j2", "d1", "d2")
+_PULSE_KEYS = ("shape", "amplitude", "duration", "winding", "samples")
 _FLOAT_KEYS = {"j1", "j2", "d1", "d2", "amplitude", "duration", "op_time"}
 _INT_KEYS = {"winding", "nuclei_per_electron", "dim_cap", "grid", "steps"}
 _LIST_KEYS = {"d1_ratios", "d2_ratios", "ratios1", "ratios2", "lambdas"}
@@ -99,7 +95,10 @@ def _coerce(key: str, value):
                 raise ValueError
             return int(value)
         if key in _LIST_KEYS:
-            return tuple(float(v) for v in value)
+            axis = tuple(float(v) for v in value)
+            if not axis:
+                raise ConfigError(f"field {key!r}: needs at least one value")
+            return axis
         if key == "samples":
             if value is None:
                 return None
@@ -122,31 +121,30 @@ def load_config_file(path: str) -> dict:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r}: top level must be an object")
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"config {path!r}: unknown keys {unknown}")
     return raw
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in ("out", "format", "grid", "steps"):
+    keys = COMMANDS[args.command][1]
+    values = load_config_file(args.config) if args.config else {}
+    unread = sorted(set(values) - {"command", "out", *keys})
+    if unread:
+        raise ConfigError(
+            f"config {args.config!r}: {args.command} does not read keys {unread}; "
+            f"it reads {', '.join(keys)}"
+        )
+    for key in ("out", *keys):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if getattr(args, "matrix", None):
-        values["matrix"] = args.matrix
     values["command"] = args.command
     values = {k: _coerce(k, v) for k, v in values.items()}
     if values.get("format") not in (None, "csv", "json", "svg"):
         raise ConfigError("field 'format': must be csv, json or svg")
     cfg = RunConfig(**values)
-    for key in ("j1", "j2", "d1", "d2"):
-        value = getattr(cfg, key)
-        if not math.isfinite(value):
-            raise ValueError(f"coupling {key} must be finite, got {value!r}")
+    for key in keys:
+        if key in _COUPLING_KEYS and not math.isfinite(getattr(cfg, key)):
+            raise ValueError(f"coupling {key} must be finite, got {getattr(cfg, key)!r}")
     if cfg.grid < 2:
         raise ConfigError("field 'grid': need at least 2 points")
     if cfg.steps < 1:
@@ -155,19 +153,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 
 
 def config_payload(cfg: RunConfig) -> dict:
-    payload = asdict(cfg)
-    if payload["samples"] is not None:
-        payload["samples"] = [list(p) for p in payload["samples"]]
-    for key in _LIST_KEYS:
-        payload[key] = list(payload[key])
-    return payload
-
-
-def config_from_payload(payload: dict) -> RunConfig:
-    unknown = sorted(set(payload) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown}")
-    return RunConfig(**{k: _coerce(k, v) for k, v in payload.items()})
+    """The sidecar: ``command``, ``out`` and the keys the command reads
+    (tuples serialize as JSON lists)."""
+    keys = ("command", "out", *COMMANDS[cfg.command][1])
+    return {key: getattr(cfg, key) for key in keys}
 
 
 def _out_path(cfg: RunConfig, suffix: str) -> Path:
@@ -215,6 +204,15 @@ def _metrics_payload(metrics) -> dict:
     }
 
 
+def _print_metrics(metrics, weyl_suffix: str = "") -> None:
+    print(
+        f"G1={metrics.g1.real:.6g}{metrics.g1.imag:+.2g}j G2={metrics.g2:.6g} "
+        f"ep={metrics.ep:.6g} class={metrics.entangler_class}"
+    )
+    w = metrics.weyl
+    print(f"weyl=({w[0]:.6f}, {w[1]:.6f}, {w[2]:.6f}){weyl_suffix}")
+
+
 def cmd_gate(cfg: RunConfig) -> int:
     couplings = cfg.couplings()
     polar = couplings_to_polar(couplings)
@@ -249,47 +247,16 @@ def cmd_gate(cfg: RunConfig) -> int:
     reports.write_json(_out_path(cfg, ".json"), payload)
     _write_sidecar(cfg)
     print(f"theta={polar.theta:.6f} phi1={polar.phi1:.6f} phi2={polar.phi2:.6f}")
-    print(
-        f"G1={metrics.g1.real:.6g}{metrics.g1.imag:+.2g}j G2={metrics.g2:.6g} "
-        f"ep={metrics.ep:.6g} class={metrics.entangler_class}"
-    )
-    print(
-        f"weyl=({metrics.weyl[0]:.6f}, {metrics.weyl[1]:.6f}, {metrics.weyl[2]:.6f}) "
-        f"leakage={gate.leakage:.3e} deviation={deviation:.3e}"
-    )
+    _print_metrics(metrics, f" leakage={gate.leakage:.3e} deviation={deviation:.3e}")
     print(f"wrote {_out_path(cfg, '.json')}")
     return 0
 
 
-def cmd_sweep_theta(cfg: RunConfig) -> int:
-    thetas = np.linspace(0.0, math.pi / 4, cfg.grid).tolist()
-    gates = np.array([analytic_entangler(theta).matrix for theta in thetas])
-    rows = [
-        (theta, m.ep, m.g1.real, m.g1.imag, m.g2, *m.weyl, m.entangler_class)
-        for theta, m in zip(thetas, gate_metrics(gates))
-    ]
-    header = ["theta", "ep", "g1_re", "g1_im", "g2", "c1", "c2", "c3", "class"]
-    reports.write_csv(_out_path(cfg, ".csv"), header, rows)
-    _write_sidecar(cfg)
-    if cfg.format == "json":
-        reports.write_json(
-            _out_path(cfg, ".json"),
-            [dict(zip(header, row)) for row in rows],
-        )
-    if cfg.format == "svg":
-        reports.line_svg(
-            _out_path(cfg, ".svg"),
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            xlabel="θ",
-            ylabel="entangling power",
-        )
-    print(f"wrote {_out_path(cfg, '.csv')} ({len(rows)} rows)")
-    return 0
-
-
-def _emit_sweep(cfg: RunConfig, table, header, svg_kind: str, svg_labels) -> None:
-    rows = list(table.rows())
+def _emit_sweep(cfg: RunConfig, header, rows, axes, values, labels) -> int:
+    """Write a sweep's CSV and sidecar, then its JSON records or its SVG
+    plot of ``values`` over ``axes``: a line for one axis, a heatmap for
+    two.  ``labels`` name the x axis, then the y axis or the curve."""
+    rows = list(rows)
     reports.write_csv(_out_path(cfg, ".csv"), header, rows)
     _write_sidecar(cfg)
     if cfg.format == "json":
@@ -297,24 +264,23 @@ def _emit_sweep(cfg: RunConfig, table, header, svg_kind: str, svg_labels) -> Non
             _out_path(cfg, ".json"), [dict(zip(header, row)) for row in rows]
         )
     if cfg.format == "svg":
-        if svg_kind == "line":
-            reports.line_svg(
-                _out_path(cfg, ".svg"),
-                table.axis_values[0],
-                table.fidelity,
-                xlabel=svg_labels[0],
-                ylabel="fidelity",
-            )
-        else:
-            reports.heatmap_svg(
-                _out_path(cfg, ".svg"),
-                table.axis_values[0],
-                table.axis_values[1],
-                table.fidelity,
-                xlabel=svg_labels[0],
-                ylabel=svg_labels[1],
-            )
+        plot = reports.line_svg if len(axes) == 1 else reports.heatmap_svg
+        plot(_out_path(cfg, ".svg"), *axes, values, *labels)
     print(f"wrote {_out_path(cfg, '.csv')} ({len(rows)} rows)")
+    return 0
+
+
+def cmd_sweep_theta(cfg: RunConfig) -> int:
+    thetas = np.linspace(0.0, math.pi / 4, cfg.grid).tolist()
+    gates = np.array([analytic_entangler(theta).matrix for theta in thetas])
+    metrics = gate_metrics(gates)
+    rows = [
+        (theta, m.ep, m.g1.real, m.g1.imag, m.g2, *m.weyl, m.entangler_class)
+        for theta, m in zip(thetas, metrics)
+    ]
+    header = ["theta", "ep", "g1_re", "g1_im", "g2", "c1", "c2", "c3", "class"]
+    eps = [m.ep for m in metrics]
+    return _emit_sweep(cfg, header, rows, (thetas,), eps, ("θ", "entangling power"))
 
 
 def cmd_sweep_dm(cfg: RunConfig) -> int:
@@ -322,31 +288,17 @@ def cmd_sweep_dm(cfg: RunConfig) -> int:
         raise ConfigError("sweep-dm requires j1 == j2 (symmetric working point)")
     omega_xy = couplings_to_polar(ExchangeCouplings(j1=cfg.j1, j2=cfg.j2)).omega
     pulse = _build_pulse(cfg, omega_xy)
-    table = dm_sweep(cfg.j1, cfg.j2, cfg.d1_ratios, cfg.d2_ratios, pulse)
-    _emit_sweep(
-        cfg,
-        table,
-        ["d1", "d2", "fidelity"],
-        "heatmap",
-        ("d₁", "d₂"),
-    )
-    return 0
+    t = dm_sweep(cfg.j1, cfg.j2, cfg.d1_ratios, cfg.d2_ratios, pulse)
+    header = ["d1", "d2", "fidelity"]
+    return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("d₁", "d₂"))
 
 
 def cmd_sweep_noise(cfg: RunConfig) -> int:
     couplings = cfg.couplings()
     pulse = _build_pulse(cfg, couplings_to_polar(couplings).omega)
-    table = amplitude_noise_sweep(
-        couplings, cfg.ratios1, cfg.ratios2, pulse, steps=cfg.steps
-    )
-    _emit_sweep(
-        cfg,
-        table,
-        ["ratio1", "ratio2", "fidelity"],
-        "heatmap",
-        ("Ω/δ₁", "Ω/δ₂"),
-    )
-    return 0
+    t = amplitude_noise_sweep(couplings, cfg.ratios1, cfg.ratios2, pulse, steps=cfg.steps)
+    header = ["ratio1", "ratio2", "fidelity"]
+    return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("Ω/δ₁", "Ω/δ₂"))
 
 
 def cmd_sweep_dephasing(cfg: RunConfig) -> int:
@@ -355,14 +307,9 @@ def cmd_sweep_dephasing(cfg: RunConfig) -> int:
         op_time=cfg.op_time,
         nuclei_per_electron=cfg.nuclei_per_electron,
     )
-    table = dephasing_sweep(
-        template,
-        cfg.lambdas,
-        cfg.couplings(),
-        dim_cap=cfg.dim_cap,
-    )
-    _emit_sweep(cfg, table, ["lambda", "fidelity"], "line", ("λ",))
-    return 0
+    t = dephasing_sweep(template, cfg.lambdas, cfg.couplings(), dim_cap=cfg.dim_cap)
+    header = ["lambda", "fidelity"]
+    return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("λ", "fidelity"))
 
 
 def read_gate_matrix(path: str) -> np.ndarray:
@@ -396,23 +343,36 @@ def cmd_classify(cfg: RunConfig) -> int:
     payload = {"matrix_file": cfg.matrix, "metrics": _metrics_payload(metrics)}
     reports.write_json(_out_path(cfg, ".json"), payload)
     _write_sidecar(cfg)
-    print(
-        f"G1={metrics.g1.real:.6g}{metrics.g1.imag:+.2g}j G2={metrics.g2:.6g} "
-        f"ep={metrics.ep:.6g} class={metrics.entangler_class}"
-    )
-    print(
-        f"weyl=({metrics.weyl[0]:.6f}, {metrics.weyl[1]:.6f}, {metrics.weyl[2]:.6f})"
-    )
+    _print_metrics(metrics)
     return 0
 
 
-_DISPATCH = {
-    "gate": cmd_gate,
-    "sweep-theta": cmd_sweep_theta,
-    "sweep-dm": cmd_sweep_dm,
-    "sweep-noise": cmd_sweep_noise,
-    "sweep-dephasing": cmd_sweep_dephasing,
-    "classify": cmd_classify,
+# Each command's handler and the config keys it reads besides ``command``
+# and ``out``: any other key is refused, and the sidecar records these.
+COMMANDS = {
+    "gate": (cmd_gate, _COUPLING_KEYS + _PULSE_KEYS),
+    "sweep-theta": (cmd_sweep_theta, ("grid", "format")),
+    "sweep-dm": (
+        cmd_sweep_dm,
+        ("j1", "j2", *_PULSE_KEYS, "d1_ratios", "d2_ratios", "format"),
+    ),
+    "sweep-noise": (
+        cmd_sweep_noise,
+        (*_COUPLING_KEYS, *_PULSE_KEYS, "ratios1", "ratios2", "steps", "format"),
+    ),
+    "sweep-dephasing": (
+        cmd_sweep_dephasing,
+        (*_COUPLING_KEYS, "lambdas", "nuclei_per_electron", "op_time", "dim_cap", "format"),
+    ),
+    "classify": (cmd_classify, ("matrix",)),
+}
+
+# The keys that also have a command-line argument, with its name and options.
+_ARGUMENTS = {
+    "format": ("--format", {"choices": ("csv", "json", "svg")}),
+    "grid": ("--grid", {"type": int, "help": "theta grid size"}),
+    "steps": ("--steps", {"type": int, "help": "time-ordered step count"}),
+    "matrix": ("matrix", {"nargs": "?", "help": "file with a 4x4 complex matrix"}),
 }
 
 
@@ -422,17 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Holonomic two-qubit entangler simulation and sweeps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, keys) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat JSON configuration file")
         p.add_argument("--out", help="output path prefix")
-        p.add_argument("--format", choices=("csv", "json", "svg"))
-        if name == "sweep-theta":
-            p.add_argument("--grid", type=int, help="theta grid size")
-        if name == "sweep-noise":
-            p.add_argument("--steps", type=int, help="time-ordered step count")
-        if name == "classify":
-            p.add_argument("matrix", nargs="?", help="file with a 4x4 complex matrix")
+        for key in keys:
+            if key in _ARGUMENTS:
+                flag, options = _ARGUMENTS[key]
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -440,7 +397,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = make_config(args)
-        return _DISPATCH[cfg.command](cfg)
+        return COMMANDS[cfg.command][0](cfg)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,7 +38,7 @@ class DimensionOverflow(SpinHolonomyError):
 
 
 class ConfigError(SpinHolonomyError):
-    """A run configuration is malformed or contains unknown keys."""
+    """A run configuration is malformed or sets a key its command does not read."""
 
 
 class ParseError(SpinHolonomyError):

@@ -63,38 +63,53 @@ def _fmt_tick(x: float) -> str:
     return format(x, ".4g")
 
 
-def _axes_svg(xlabel: str, ylabel: str, title: str, xlo, xhi, ylo, yhi):
+def _labels_svg(xlabel: str, ylabel: str) -> list[str]:
+    """White background and axis labels of a plot."""
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
-    parts = [
+    return [
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-        'fill="none" stroke="black"/>',
         f'<text x="{(x0 + x1) / 2}" y="{HEIGHT - 15}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{xlabel}</text>',
         f'<text x="22" y="{(y0 + y1) / 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16" '
         f'transform="rotate(-90 22 {(y0 + y1) / 2})">{ylabel}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{(x0 + x1) / 2}" y="30" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+
+
+_FRAME = (
+    f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_R - MARGIN_L}" '
+    f'height="{HEIGHT - MARGIN_B - MARGIN_T}" fill="none" stroke="black"/>'
+)
+
+
+def _xtick_svg(px: float, value: float) -> list[str]:
+    y0 = HEIGHT - MARGIN_B
+    return [
+        f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>',
+        f'<text x="{px:.1f}" y="{y0 + 22}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{_fmt_tick(value)}</text>',
+    ]
+
+
+def _ytick_svg(py: float, value: float) -> list[str]:
+    x0 = MARGIN_L
+    return [
+        f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>',
+        f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="12">{_fmt_tick(value)}</text>',
+    ]
+
+
+def _axes_svg(xlabel: str, ylabel: str, xlo, xhi, ylo, yhi):
+    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
+    y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
+    parts = _labels_svg(xlabel, ylabel)
+    parts.insert(1, _FRAME)
     for tx in _ticks(xlo, xhi):
-        px = x0 + (tx - xlo) / (xhi - xlo or 1.0) * (x1 - x0)
-        parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>')
-        parts.append(
-            f'<text x="{px:.1f}" y="{y0 + 22}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_fmt_tick(tx)}</text>'
-        )
+        parts += _xtick_svg(x0 + (tx - xlo) / (xhi - xlo or 1.0) * (x1 - x0), tx)
     for ty in _ticks(ylo, yhi):
-        py = y0 - (ty - ylo) / (yhi - ylo or 1.0) * (y0 - y1)
-        parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt_tick(ty)}</text>'
-        )
+        parts += _ytick_svg(y0 - (ty - ylo) / (yhi - ylo or 1.0) * (y0 - y1), ty)
     return parts
 
 
@@ -110,7 +125,7 @@ def _color(t: float) -> str:
     return "#%02x%02x%02x" % tuple(int(round(255 * v)) for v in rgb)
 
 
-def line_svg(path, x, y, xlabel: str, ylabel: str, title: str = "") -> None:
+def line_svg(path, x, y, xlabel: str, ylabel: str) -> None:
     """Single-curve line plot on fixed 800x600 canvas."""
     x = [float(v) for v in x]
     y = [float(v) for v in y]
@@ -120,7 +135,7 @@ def line_svg(path, x, y, xlabel: str, ylabel: str, title: str = "") -> None:
         ylo, yhi = ylo - 0.5, yhi + 0.5
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
-    parts = _axes_svg(xlabel, ylabel, title, xlo, xhi, ylo, yhi)
+    parts = _axes_svg(xlabel, ylabel, xlo, xhi, ylo, yhi)
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
     pts = []
@@ -134,7 +149,7 @@ def line_svg(path, x, y, xlabel: str, ylabel: str, title: str = "") -> None:
     _write_svg(path, parts)
 
 
-def heatmap_svg(path, xvals, yvals, grid, xlabel: str, ylabel: str, title: str = "") -> None:
+def heatmap_svg(path, xvals, yvals, grid, xlabel: str, ylabel: str) -> None:
     """Cell heatmap of grid[i][j] over x = xvals[i], y = yvals[j].
 
     Cells sit on the index lattice; ticks label a subset of cell centers
@@ -147,19 +162,7 @@ def heatmap_svg(path, xvals, yvals, grid, xlabel: str, ylabel: str, title: str =
     span = hi - lo or 1.0
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
-    parts = [
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{(x0 + x1) / 2}" y="{HEIGHT - 15}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{xlabel}</text>',
-        f'<text x="22" y="{(y0 + y1) / 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16" '
-        f'transform="rotate(-90 22 {(y0 + y1) / 2})">{ylabel}</text>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{(x0 + x1) / 2}" y="30" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+    parts = _labels_svg(xlabel, ylabel)
     cw = (x1 - x0) / len(xvals)
     ch = (y0 - y1) / len(yvals)
     for i in range(len(xvals)):
@@ -174,23 +177,10 @@ def heatmap_svg(path, xvals, yvals, grid, xlabel: str, ylabel: str, title: str =
     stride_x = max(1, len(xvals) // 6)
     stride_y = max(1, len(yvals) // 6)
     for i in range(0, len(xvals), stride_x):
-        px = x0 + (i + 0.5) * cw
-        parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>')
-        parts.append(
-            f'<text x="{px:.1f}" y="{y0 + 22}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_fmt_tick(xvals[i])}</text>'
-        )
+        parts += _xtick_svg(x0 + (i + 0.5) * cw, xvals[i])
     for j in range(0, len(yvals), stride_y):
-        py = y0 - (j + 0.5) * ch
-        parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt_tick(yvals[j])}</text>'
-        )
-    parts.append(
-        f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-        'fill="none" stroke="black"/>'
-    )
+        parts += _ytick_svg(y0 - (j + 0.5) * ch, yvals[j])
+    parts.append(_FRAME)
     parts.append(
         f'<text x="{x1}" y="{y1 - 8}" text-anchor="end" font-family="sans-serif" '
         f'font-size="12">min={_fmt_tick(lo)} max={_fmt_tick(hi)}</text>'

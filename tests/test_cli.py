@@ -1,15 +1,18 @@
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from spinholonomy.cli import (
+    COMMANDS,
     RunConfig,
-    config_from_payload,
+    build_parser,
     config_payload,
     main,
+    make_config,
     read_gate_matrix,
 )
 from spinholonomy.errors import ParseError
@@ -255,14 +258,28 @@ def test_zero_couplings_exit_code(tmp_path):
 
 
 def test_sidecar_round_trips(tmp_path):
-    cfg = {"j1": 1.5, "j2": 1.5, "amplitude": 0.7, "winding": 2, "grid": 9}
-    assert run(tmp_path, "gate", cfg) == 0
-    payload = json.loads((tmp_path / "out.config.json").read_text())
-    loaded = config_from_payload(payload)
-    assert loaded == config_from_payload(config_payload(loaded))
-    assert loaded.j1 == 1.5 and loaded.winding == 2 and loaded.grid == 9
-    assert loaded.command == "gate"
-    assert loaded.out == str(tmp_path / "out")
+    # Fed back as the config, each sidecar reproduces itself and the report.
+    cases = [
+        ("gate", {"j1": 1.5, "j2": 1.5, "amplitude": 0.7, "winding": 2}, "out.json"),
+        ("sweep-theta", {"grid": 9, "format": "svg"}, "out.svg"),
+        ("sweep-dm", {"d1_ratios": [2.0], "d2_ratios": [1.0, 3.0]}, "out.csv"),
+        ("sweep-noise", {"ratios1": [20.0], "ratios2": [30.0], "steps": 5}, "out.csv"),
+        ("sweep-dephasing", {"lambdas": [3.0], "format": "json"}, "out.json"),
+        ("classify", {"matrix": write_matrix(tmp_path, CNOT_ROWS)}, "out.json"),
+    ]
+    for command, config, report in cases:
+        work = tmp_path / command
+        work.mkdir()
+        assert run(work, command, config) == 0
+        sidecar = (work / "out.config.json").read_bytes()
+        first = (work / report).read_bytes()
+        payload = json.loads(sidecar)
+        assert payload["command"] == command and payload["out"] == str(work / "out")
+        assert set(payload) == {"command", "out", *COMMANDS[command][1]}
+        (work / "sidecar.json").write_bytes(sidecar)
+        assert main([command, "--config", str(work / "sidecar.json")]) == 0
+        assert (work / "out.config.json").read_bytes() == sidecar
+        assert (work / report).read_bytes() == first
 
 
 def test_flags_override_config(tmp_path):
@@ -306,9 +323,20 @@ def test_sweep_dm_nan_ratio_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["gate", "sweep-dm", "sweep-noise", "sweep-dephasing"])
-@pytest.mark.parametrize("key, value", [("j1", math.nan), ("d1", math.inf)])
-def test_non_finite_coupling_exits_3(tmp_path, capsys, command, key, value):
+NON_FINITE_COUPLINGS = [
+    (key, value, command)
+    for command in ["gate", "sweep-dm", "sweep-noise", "sweep-dephasing"]
+    for key, value in [("j1", math.nan), ("d1", math.inf)]
+    if key in COMMANDS[command][1]
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, command",
+    NON_FINITE_COUPLINGS,
+    ids=[f"{k}-{v}-{c}" for k, v, c in NON_FINITE_COUPLINGS],
+)
+def test_non_finite_coupling_exits_3(tmp_path, capsys, key, value, command):
     assert run(tmp_path, command, {key: value}) == 3
     assert f"coupling {key} must be finite" in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []
@@ -319,16 +347,19 @@ def test_non_finite_coupling_exits_3(tmp_path, capsys, command, key, value):
     [
         ("gate", "--grid"),
         ("gate", "--steps"),
+        ("gate", "--format"),
         ("sweep-theta", "--steps"),
         ("sweep-dm", "--grid"),
         ("sweep-noise", "--grid"),
         ("sweep-dephasing", "--steps"),
         ("classify", "--grid"),
+        ("classify", "--format"),
     ],
 )
 def test_flag_only_where_it_acts(tmp_path, command, flag):
+    value = "json" if flag == "--format" else "3"  # valid where the flag exists
     with pytest.raises(SystemExit) as exc:
-        run(tmp_path, command, extra=[flag, "3"])
+        run(tmp_path, command, extra=[flag, value])
     assert exc.value.code == 2
     assert list(tmp_path.glob("out*")) == []
 
@@ -337,3 +368,76 @@ def test_steps_flag_sets_sweep_noise_steps(tmp_path):
     cfg = {"ratios1": [20.0], "ratios2": [30.0]}
     assert run(tmp_path, "sweep-noise", cfg, extra=["--steps", "3"]) == 0
     assert json.loads((tmp_path / "out.config.json").read_text())["steps"] == 3
+
+
+# A valid value other than the default for every config key.
+NON_DEFAULT = {
+    "j1": 1.5,
+    "j2": 1.5,
+    "d1": 0.5,
+    "d2": 0.5,
+    "shape": "gaussian",
+    "amplitude": 0.7,
+    "duration": 2.5,
+    "winding": 1,
+    "samples": [[0.0, 1.0], [1.0, 1.0]],
+    "d1_ratios": [2.0],
+    "d2_ratios": [3.0],
+    "ratios1": [20.0],
+    "ratios2": [30.0],
+    "lambdas": [4.0],
+    "nuclei_per_electron": 1,
+    "op_time": 2.0,
+    "dim_cap": 512,
+    "matrix": "gate.txt",
+    "format": "json",
+    "grid": 11,
+    "steps": 7,
+}
+READ = [(c, k) for c, (_, keys) in COMMANDS.items() for k in keys]
+UNREAD = [(c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in READ]
+
+
+def test_key_table_covers_every_setting():
+    settable = {f.name for f in fields(RunConfig)} - {"command", "out"}
+    assert set(NON_DEFAULT) == settable
+    assert all(k in settable for _, k in READ)
+    assert (len(READ), len(UNREAD)) == (44, 82)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    # sweep-dm reads only j1 and j2, so even a non-finite d1 is refused as unread.
+    [(c, k, NON_DEFAULT[k]) for c, k in UNREAD] + [("sweep-dm", "d1", math.inf)],
+)
+def test_unread_config_key_exits_2(tmp_path, capsys, command, key, value):
+    assert run(tmp_path, command, {key: value}) == 2
+    err = capsys.readouterr().err
+    assert f"{command} does not read keys [{key!r}]" in err
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("command, key", READ)
+def test_read_config_key_accepted_and_recorded(tmp_path, command, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: NON_DEFAULT[key]}))
+    cfg = make_config(build_parser().parse_args([command, "--config", str(cfg_path)]))
+    assert cfg != RunConfig(command=command)
+    assert json.loads(json.dumps(config_payload(cfg)))[key] == NON_DEFAULT[key]
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("sweep-dm", "d1_ratios"),
+        ("sweep-dm", "d2_ratios"),
+        ("sweep-noise", "ratios1"),
+        ("sweep-noise", "ratios2"),
+        ("sweep-dephasing", "lambdas"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_empty_sweep_axis_exits_2(tmp_path, capsys, command, key, fmt):
+    assert run(tmp_path, command, {key: []}, extra=["--format", fmt]) == 2
+    assert f"field {key!r}: needs at least one value" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_couplings
 from spinholonomy import (
@@ -111,6 +113,17 @@ def test_gate_is_involutory(rng):
         m = analytic_entangler(p.theta, p.phi1, p.phi2).matrix
         assert max_abs(m @ m - np.eye(4)) <= 1e-12
         assert max_abs(m - m.conj().T) <= 1e-12  # Hermitian as well
+
+
+ANGLE = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=ANGLE, phi1=ANGLE, phi2=ANGLE)
+def test_gate_is_involutory_at_any_angles(theta, phi1, phi2):
+    m = analytic_entangler(theta, phi1, phi2).matrix
+    assert max_abs(m @ m - np.eye(4)) <= 1e-12
+    assert max_abs(m - m.conj().T) <= 1e-12
 
 
 def test_winding_independence(rng):

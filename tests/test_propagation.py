@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_couplings
 from spinholonomy import (
     OutOfRange,
+    ExchangeCouplings,
     ZeroCoupling,
     build_hamiltonians,
     couplings_to_polar,
@@ -131,6 +134,17 @@ def test_closed_form_matches_exponential(rng):
         u_exp = expm_hermitian(ham.h_eff, area)
         assert max_abs(u_closed - u_exp) <= 1e-10
         assert unitarity_defect(u_closed) <= 1e-12
+
+
+COUPLING = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(j=st.tuples(COUPLING, COUPLING, COUPLING, COUPLING), area=st.floats(0.0, 10.0))
+def test_closed_form_equals_expm_at_any_couplings(j, area):
+    ham = build_hamiltonians(ExchangeCouplings(*j))
+    u_exp = expm_hermitian(ham.h_eff, area)
+    assert max_abs(propagator_closed_form(ham, area) - u_exp) <= 1e-12
 
 
 # --- time-ordered oracle ----------------------------------------------
