@@ -2,13 +2,14 @@
 
 Configuration is a flat JSON file; command-line flags override file
 values.  ``COMMANDS`` maps each command to the keys it reads besides
-``command`` and ``out``.  That table registers the ``--format``,
-``--grid`` and ``--steps`` flags and the ``classify`` matrix argument
-only where they act, refuses any other config key (so a typo or a
-setting that would change nothing fails loudly), and fixes what the
-``<out>.config.json`` sidecar records.  Every sweep writes its CSV,
-sidecar and optional JSON or SVG through one emitter.  Exit codes: 0
-success, 2 configuration/parse error, 3 numerical precondition failure.
+``command`` and ``out``; a pulse reads ``shape``, ``winding`` and one key
+of its shape, and the cyclicity condition fixes the rest.  The read keys
+register the ``--format``, ``--grid`` and ``--steps`` flags and the
+``classify`` matrix argument only where they act, refuse any other config
+key (so a typo or a setting that would change nothing fails loudly), and
+fix what the ``<out>.config.json`` sidecar records.  Every sweep writes
+its CSV, sidecar and optional JSON or SVG through one emitter.  Exit
+codes: 0 success, 2 config/parse error, 3 numerical precondition failure.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .noise import (
 from .propagation import (
     PulsePlan,
     _require_cyclic,
+    gaussian_pulse,
     propagator_closed_form,
     pulse_area,
+    scaled_to_area,
     solve_cyclic,
-    square_pulse,
     tabulated_pulse,
 )
 from .spin_chain import ExchangeCouplings, build_hamiltonians, couplings_to_polar
@@ -57,7 +59,7 @@ class RunConfig:
     d2: float = 0.0
     shape: str = "square"
     amplitude: float = 1.0
-    duration: float | None = None
+    duration: float = 1.0
     winding: int = 0
     samples: tuple[tuple[float, float], ...] | None = None
     d1_ratios: tuple[float, ...] = tuple(float(v) for v in range(1, 16))
@@ -79,7 +81,8 @@ class RunConfig:
 
 
 _COUPLING_KEYS = ("j1", "j2", "d1", "d2")
-_PULSE_KEYS = ("shape", "amplitude", "duration", "winding", "samples")
+_PULSE_KEY_SHAPE = {"amplitude": "square", "duration": "gaussian", "samples": "tabulated"}
+_PULSE_KEYS = ("shape", "winding", *_PULSE_KEY_SHAPE)
 _FLOAT_KEYS = {"j1", "j2", "d1", "d2", "amplitude", "duration", "op_time"}
 _INT_KEYS = {"winding", "nuclei_per_electron", "dim_cap", "grid", "steps"}
 _LIST_KEYS = {"d1_ratios", "d2_ratios", "ratios1", "ratios2", "lambdas"}
@@ -89,7 +92,7 @@ _STR_KEYS = {"command", "shape", "matrix", "out", "format"}
 def _coerce(key: str, value):
     try:
         if key in _FLOAT_KEYS:
-            return None if value is None else float(value)
+            return float(value)
         if key in _INT_KEYS:
             if isinstance(value, bool) or value != int(value):
                 raise ValueError
@@ -100,14 +103,12 @@ def _coerce(key: str, value):
                 raise ConfigError(f"field {key!r}: needs at least one value")
             return axis
         if key == "samples":
-            if value is None:
-                return None
             return tuple((float(t), float(v)) for t, v in value)
-        if key in _STR_KEYS:
-            return None if value is None else str(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {key!r}: cannot interpret {value!r}") from None
-    raise ConfigError(f"field {key!r}: unhandled")
+        if key in _STR_KEYS and isinstance(value, str):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"field {key!r}: cannot interpret {value!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -124,9 +125,17 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
+def read_keys(command: str, shape: str) -> tuple[str, ...]:
+    """The keys ``command`` reads besides ``command`` and ``out`` for ``shape``."""
+    keys = COMMANDS[command][1]
+    if "shape" in keys and shape not in _PULSE_KEY_SHAPE.values():
+        raise ConfigError(f"field 'shape': unknown shape {shape!r}")
+    return tuple(k for k in keys if _PULSE_KEY_SHAPE.get(k, shape) == shape)
+
+
 def make_config(args: argparse.Namespace) -> RunConfig:
-    keys = COMMANDS[args.command][1]
     values = load_config_file(args.config) if args.config else {}
+    keys = read_keys(args.command, values.get("shape", RunConfig.shape))
     unread = sorted(set(values) - {"command", "out", *keys})
     if unread:
         raise ConfigError(
@@ -145,17 +154,18 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     for key in keys:
         if key in _COUPLING_KEYS and not math.isfinite(getattr(cfg, key)):
             raise ValueError(f"coupling {key} must be finite, got {getattr(cfg, key)!r}")
-    if cfg.grid < 2:
-        raise ConfigError("field 'grid': need at least 2 points")
-    if cfg.steps < 1:
-        raise ConfigError("field 'steps': need at least 1 step")
+    for key, least in (("grid", 2), ("steps", 1), ("winding", 0)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"field {key!r}: must be at least {least}")
+    if cfg.shape == "tabulated" and not cfg.samples:
+        raise ConfigError("field 'samples': required for tabulated pulses")
     return cfg
 
 
 def config_payload(cfg: RunConfig) -> dict:
     """The sidecar: ``command``, ``out`` and the keys the command reads
     (tuples serialize as JSON lists)."""
-    keys = ("command", "out", *COMMANDS[cfg.command][1])
+    keys = ("command", "out", *read_keys(cfg.command, cfg.shape))
     return {key: getattr(cfg, key) for key in keys}
 
 
@@ -171,19 +181,14 @@ def _write_sidecar(cfg: RunConfig) -> None:
 
 
 def _build_pulse(cfg: RunConfig, omega: float) -> PulsePlan:
-    if cfg.shape == "square" and cfg.duration is None:
-        return solve_cyclic(omega, cfg.amplitude, cfg.winding)
+    """The configured pulse with the cyclic area ``(2 * winding + 1) * pi / omega``."""
     if cfg.shape == "square":
-        return square_pulse(cfg.amplitude, cfg.duration, cfg.winding)
+        return solve_cyclic(omega, cfg.amplitude, cfg.winding)
+    # A unit-amplitude cyclic square pulse lasts exactly the cyclic area.
+    area = solve_cyclic(omega, 1.0, cfg.winding).duration
     if cfg.shape == "gaussian":
-        if cfg.duration is None:
-            raise ConfigError("field 'duration': required for gaussian pulses")
-        return PulsePlan("gaussian", cfg.amplitude, cfg.duration, cfg.winding)
-    if cfg.shape == "tabulated":
-        if not cfg.samples:
-            raise ConfigError("field 'samples': required for tabulated pulses")
-        return tabulated_pulse(cfg.samples, cfg.winding)
-    raise ConfigError(f"field 'shape': unknown shape {cfg.shape!r}")
+        return scaled_to_area(gaussian_pulse(1.0, cfg.duration), area)
+    return scaled_to_area(tabulated_pulse(cfg.samples), area)
 
 
 def _complex_grid(matrix: np.ndarray) -> dict:
@@ -236,7 +241,7 @@ def cmd_gate(cfg: RunConfig) -> int:
             "shape": pulse.shape,
             "amplitude": pulse.amplitude,
             "duration": pulse.duration,
-            "winding": pulse.winding,
+            "winding": cfg.winding,
             "area": area,
         },
         "gate": _complex_grid(gate.matrix),
@@ -289,7 +294,7 @@ def cmd_sweep_dm(cfg: RunConfig) -> int:
     omega_xy = couplings_to_polar(ExchangeCouplings(j1=cfg.j1, j2=cfg.j2)).omega
     pulse = _build_pulse(cfg, omega_xy)
     t = dm_sweep(cfg.j1, cfg.j2, cfg.d1_ratios, cfg.d2_ratios, pulse)
-    header = ["d1", "d2", "fidelity"]
+    header = [*t.axis_names, "fidelity"]
     return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("d₁", "d₂"))
 
 
@@ -297,7 +302,7 @@ def cmd_sweep_noise(cfg: RunConfig) -> int:
     couplings = cfg.couplings()
     pulse = _build_pulse(cfg, couplings_to_polar(couplings).omega)
     t = amplitude_noise_sweep(couplings, cfg.ratios1, cfg.ratios2, pulse, steps=cfg.steps)
-    header = ["ratio1", "ratio2", "fidelity"]
+    header = [*t.axis_names, "fidelity"]
     return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("Ω/δ₁", "Ω/δ₂"))
 
 
@@ -308,7 +313,7 @@ def cmd_sweep_dephasing(cfg: RunConfig) -> int:
         nuclei_per_electron=cfg.nuclei_per_electron,
     )
     t = dephasing_sweep(template, cfg.lambdas, cfg.couplings(), dim_cap=cfg.dim_cap)
-    header = ["lambda", "fidelity"]
+    header = [*t.axis_names, "fidelity"]
     return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("λ", "fidelity"))
 
 

@@ -41,19 +41,17 @@ CYCLIC_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PulsePlan:
-    """An envelope shape with amplitude, duration and winding number.
+    """An envelope shape with amplitude and duration.
 
     ``amplitude`` is the constant value for a square pulse and the peak for
     a gaussian; tabulated shapes carry explicit ``samples`` of (time, value)
-    pairs that are linearly interpolated.  ``winding`` records the integer n
-    of the cyclicity condition the plan was solved for (0 when the plan was
-    built directly).  Durations must be positive and every number finite.
+    pairs that are linearly interpolated.  Durations must be positive and
+    every number finite.
     """
 
     shape: str
     amplitude: float
     duration: float
-    winding: int = 0
     samples: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
@@ -85,20 +83,18 @@ class PulsePlan:
         return float(np.interp(t, *zip(*self.samples)))
 
 
-def square_pulse(amplitude: float, duration: float, winding: int = 0) -> PulsePlan:
-    return PulsePlan("square", amplitude, duration, winding)
+def square_pulse(amplitude: float, duration: float) -> PulsePlan:
+    return PulsePlan("square", amplitude, duration)
 
 
-def gaussian_pulse(peak: float, duration: float, winding: int = 0) -> PulsePlan:
-    return PulsePlan("gaussian", peak, duration, winding)
+def gaussian_pulse(peak: float, duration: float) -> PulsePlan:
+    return PulsePlan("gaussian", peak, duration)
 
 
-def tabulated_pulse(
-    samples: Sequence[tuple[float, float]], winding: int = 0
-) -> PulsePlan:
+def tabulated_pulse(samples: Sequence[tuple[float, float]]) -> PulsePlan:
     samples = tuple((float(t), float(v)) for t, v in samples)
     peak = max(v for _, v in samples)
-    return PulsePlan("tabulated", peak, samples[-1][0], winding, samples)
+    return PulsePlan("tabulated", peak, samples[-1][0], samples)
 
 
 def pulse_area(p: PulsePlan, t: float) -> float:
@@ -138,7 +134,7 @@ def scaled_to_area(p: PulsePlan, area: float) -> PulsePlan:
         raise ValueError("cannot rescale a pulse with non-positive area")
     factor = area / current
     samples = tuple((t, v * factor) for t, v in p.samples) if p.samples else None
-    return PulsePlan(p.shape, p.amplitude * factor, p.duration, p.winding, samples)
+    return PulsePlan(p.shape, p.amplitude * factor, p.duration, samples)
 
 
 def solve_cyclic(omega: float, amplitude: float, winding: int = 0) -> PulsePlan:
@@ -156,7 +152,7 @@ def solve_cyclic(omega: float, amplitude: float, winding: int = 0) -> PulsePlan:
     if winding < 0:
         raise ValueError("winding must be a non-negative integer")
     duration = (2 * winding + 1) * math.pi / (amplitude * omega)
-    return square_pulse(amplitude, duration, winding)
+    return square_pulse(amplitude, duration)
 
 
 def cyclicity_defect(p: PulsePlan, omega: float) -> float:

@@ -48,9 +48,13 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Strict JSON, with non-finite floats as "Infinity", "-Infinity" or "NaN"."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # json.dumps names them bare; parse_constant quotes them
+        named = json.loads(json.dumps(payload), parse_constant=str)
+        text = json.dumps(named, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _ticks(lo: float, hi: float, count: int = 5):

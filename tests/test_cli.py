@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from spinholonomy.cli import (
     COMMANDS,
@@ -14,6 +18,7 @@ from spinholonomy.cli import (
     main,
     make_config,
     read_gate_matrix,
+    read_keys,
 )
 from spinholonomy.errors import ParseError
 
@@ -68,7 +73,7 @@ def test_gate_eighth_pi_boundary(tmp_path):
     [
         ({"shape": "tabulated", "samples": [[0.0, 1.0], [math.nan, 1.0]]}, "samples"),
         ({"amplitude": math.nan}, "amplitude"),
-        ({"duration": math.nan}, "duration"),
+        ({"shape": "gaussian", "duration": math.nan}, "duration"),
     ],
 )
 def test_gate_non_finite_pulse_exits_3(tmp_path, capsys, config, cause):
@@ -77,14 +82,22 @@ def test_gate_non_finite_pulse_exits_3(tmp_path, capsys, config, cause):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize(
-    "config",
-    [{"duration": 2.0}, {"shape": "gaussian", "duration": 3.0}],
-)
-def test_gate_non_cyclic_pulse_exits_3(tmp_path, capsys, config):
-    assert run(tmp_path, "gate", config) == 3
-    assert "misses an odd multiple of pi" in capsys.readouterr().err
-    assert not (tmp_path / "out.json").exists()
+def test_gate_square_duration_exits_2(tmp_path, capsys):
+    # The cyclicity condition fixes a square pulse's duration: it is not a setting.
+    assert run(tmp_path, "gate", {"duration": 2.0}) == 2
+    assert "gate does not read keys ['duration']" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
+def test_gate_gaussian_is_calibrated(tmp_path):
+    # A duration that is not cyclic at peak 1 is scaled to the cyclic area.
+    assert run(tmp_path, "gate", {"shape": "gaussian", "duration": 3.0}) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    omega = report["polar"]["omega"]
+    assert abs(report["pulse"]["area"] * omega - math.pi) <= 1e-12
+    assert report["pulse"]["duration"] == 3.0
+    assert report["deviation_from_analytic"] <= 1e-9
+    assert report["leakage"] <= 1e-10
 
 
 # --- sweep-theta ----------------------------------------------------------
@@ -250,6 +263,7 @@ def test_malformed_json_rejected(tmp_path):
 
 def test_bad_field_type_rejected(tmp_path):
     assert run(tmp_path, "gate", {"j1": "abc"}) == 2
+    assert run(tmp_path, "gate", {"j1": None}) == 2
     assert run(tmp_path, "sweep-theta", extra=["--grid", "1"]) == 2
 
 
@@ -261,21 +275,25 @@ def test_sidecar_round_trips(tmp_path):
     # Fed back as the config, each sidecar reproduces itself and the report.
     cases = [
         ("gate", {"j1": 1.5, "j2": 1.5, "amplitude": 0.7, "winding": 2}, "out.json"),
+        ("gate", {"shape": "gaussian", "duration": 2.0, "winding": 1}, "out.json"),
         ("sweep-theta", {"grid": 9, "format": "svg"}, "out.svg"),
         ("sweep-dm", {"d1_ratios": [2.0], "d2_ratios": [1.0, 3.0]}, "out.csv"),
         ("sweep-noise", {"ratios1": [20.0], "ratios2": [30.0], "steps": 5}, "out.csv"),
+        ("sweep-noise", {"shape": "tabulated", "samples": [[0, 1], [2, 3]], "steps": 5,
+                         "ratios1": [20.0], "ratios2": [30.0]}, "out.csv"),
         ("sweep-dephasing", {"lambdas": [3.0], "format": "json"}, "out.json"),
         ("classify", {"matrix": write_matrix(tmp_path, CNOT_ROWS)}, "out.json"),
     ]
-    for command, config, report in cases:
-        work = tmp_path / command
+    for index, (command, config, report) in enumerate(cases):
+        work = tmp_path / f"{index}-{command}"
         work.mkdir()
         assert run(work, command, config) == 0
         sidecar = (work / "out.config.json").read_bytes()
         first = (work / report).read_bytes()
         payload = json.loads(sidecar)
         assert payload["command"] == command and payload["out"] == str(work / "out")
-        assert set(payload) == {"command", "out", *COMMANDS[command][1]}
+        keys = read_keys(command, config.get("shape", "square"))
+        assert set(payload) == {"command", "out", *keys}
         (work / "sidecar.json").write_bytes(sidecar)
         assert main([command, "--config", str(work / "sidecar.json")]) == 0
         assert (work / "out.config.json").read_bytes() == sidecar
@@ -394,8 +412,21 @@ NON_DEFAULT = {
     "grid": 11,
     "steps": 7,
 }
+# Besides ``shape`` and ``winding``, a pulse reads the one key of its shape.
+OWN_KEY = {"square": "amplitude", "gaussian": "duration", "tabulated": "samples"}
+SHAPE_OF = {key: shape for shape, key in OWN_KEY.items()}
+PULSE_COMMANDS = ["gate", "sweep-dm", "sweep-noise"]
+# (command, key) pairs read for some shape, and those read for no shape.
 READ = [(c, k) for c, (_, keys) in COMMANDS.items() for k in keys]
 UNREAD = [(c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in READ]
+# Per shape: the keys of the two other shapes are refused.
+OTHER_SHAPE_KEYS = [
+    (shape, command, key)
+    for shape in OWN_KEY
+    for command in PULSE_COMMANDS
+    for key in OWN_KEY.values()
+    if key != OWN_KEY[shape]
+]
 
 
 def test_key_table_covers_every_setting():
@@ -403,6 +434,13 @@ def test_key_table_covers_every_setting():
     assert set(NON_DEFAULT) == settable
     assert all(k in settable for _, k in READ)
     assert (len(READ), len(UNREAD)) == (44, 82)
+    for shape, own in OWN_KEY.items():
+        read = [(c, k) for c in COMMANDS for k in read_keys(c, shape)]
+        unread = [(c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in read]
+        assert (len(read), len(unread)) == (38, 88)
+        for command in PULSE_COMMANDS:
+            pulse = set(read_keys(command, shape)) & {"shape", "winding", *OWN_KEY.values()}
+            assert pulse == {"shape", "winding", own}
 
 
 @pytest.mark.parametrize(
@@ -419,8 +457,11 @@ def test_unread_config_key_exits_2(tmp_path, capsys, command, key, value):
 
 @pytest.mark.parametrize("command, key", READ)
 def test_read_config_key_accepted_and_recorded(tmp_path, command, key):
+    config = {key: NON_DEFAULT[key]}
+    if key in SHAPE_OF:
+        config["shape"] = SHAPE_OF[key]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({key: NON_DEFAULT[key]}))
+    cfg_path.write_text(json.dumps(config))
     cfg = make_config(build_parser().parse_args([command, "--config", str(cfg_path)]))
     assert cfg != RunConfig(command=command)
     assert json.loads(json.dumps(config_payload(cfg)))[key] == NON_DEFAULT[key]
@@ -441,3 +482,138 @@ def test_empty_sweep_axis_exits_2(tmp_path, capsys, command, key, fmt):
     assert run(tmp_path, command, {key: []}, extra=["--format", fmt]) == 2
     assert f"field {key!r}: needs at least one value" in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize(
+    "shape, command, key",
+    OTHER_SHAPE_KEYS,
+    ids=[f"{s}-{c}-{k}" for s, c, k in OTHER_SHAPE_KEYS],
+)
+def test_other_shape_pulse_key_exits_2(tmp_path, capsys, shape, command, key):
+    config = {"shape": shape, OWN_KEY[shape]: NON_DEFAULT[OWN_KEY[shape]], key: NON_DEFAULT[key]}
+    assert run(tmp_path, command, config) == 2
+    assert f"{command} does not read keys [{key!r}]" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
+SMALL_AXES = {
+    "gate": {},
+    "sweep-dm": {"d1_ratios": [2.0], "d2_ratios": [3.0]},
+    "sweep-noise": {"ratios1": [20.0], "ratios2": [30.0], "steps": 7},
+}
+
+
+@pytest.mark.parametrize("command", PULSE_COMMANDS)
+@pytest.mark.parametrize("shape", list(OWN_KEY))
+def test_own_pulse_keys_run_and_are_recorded(tmp_path, shape, command):
+    # Every shape runs every pulse command to exit 0, calibrated.
+    own = OWN_KEY[shape]
+    config = {"shape": shape, "winding": 1, own: NON_DEFAULT[own], **SMALL_AXES[command]}
+    assert run(tmp_path, command, config) == 0
+    sidecar = json.loads((tmp_path / "out.config.json").read_text())
+    assert {k: sidecar[k] for k in ("shape", "winding", own)} == {
+        "shape": shape, "winding": 1, own: NON_DEFAULT[own]
+    }
+    assert not (set(OWN_KEY.values()) - {own}) & set(sidecar)
+
+
+@pytest.mark.parametrize("command", PULSE_COMMANDS)
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"shape": "triangle"}, "shape"),
+        ({"winding": -1}, "winding"),
+        ({"shape": "tabulated"}, "samples"),
+        ({"shape": "tabulated", "samples": []}, "samples"),
+        ({"amplitude": None}, "amplitude"),
+    ],
+)
+def test_bad_pulse_config_exits_2(tmp_path, capsys, command, config, field):
+    assert run(tmp_path, command, config) == 2
+    assert f"field {field!r}" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("sweep-theta", "grid"),
+        ("sweep-noise", "steps"),
+        ("gate", "winding"),
+        ("sweep-dephasing", "nuclei_per_electron"),
+        ("sweep-dephasing", "dim_cap"),
+    ],
+)
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "1e400"])
+def test_infinite_integer_exits_2(tmp_path, capsys, command, key, token):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"{key}": {token}}}')
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"field {key!r}: cannot interpret" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"bare non-JSON token {token}")
+
+
+def test_non_finite_values_written_as_strict_json(tmp_path):
+    cfg = {"ratios1": [math.inf, 50.0], "ratios2": [-math.inf, 20.0], "steps": 5}
+    assert run(tmp_path, "sweep-noise", cfg, extra=["--format", "json"]) == 0
+    records = json.loads((tmp_path / "out.json").read_text(), parse_constant=_refuse_constant)
+    sidecar = (tmp_path / "out.config.json").read_bytes()
+    payload = json.loads(sidecar, parse_constant=_refuse_constant)
+    assert payload["ratios1"] == ["Infinity", 50.0]
+    assert payload["ratios2"] == ["-Infinity", 20.0]
+    assert records[0]["ratio1"] == "Infinity" and records[0]["ratio2"] == "-Infinity"
+    assert abs(records[0]["fidelity"] - 1.0) <= 1e-9  # no offset on either arm
+    first = (tmp_path / "out.csv").read_bytes()
+    (tmp_path / "sidecar.json").write_bytes(sidecar)
+    assert main(["sweep-noise", "--config", str(tmp_path / "sidecar.json")]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == first
+    assert (tmp_path / "out.config.json").read_bytes() == sidecar
+
+
+# --- calibration ------------------------------------------------------------
+
+coupling = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def sample_lists(draw):
+    """Tabulated samples from t = 0 at increasing times, with positive values."""
+    values = draw(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=8))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values) - 1, max_size=len(values) - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    return [[float(t), v] for t, v in zip(times, values)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    j1=coupling, j2=coupling, d1=coupling, d2=coupling,
+    shape=st.sampled_from(sorted(OWN_KEY)),
+    winding=st.integers(0, 3),
+    amplitude=st.floats(0.1, 5.0),
+    duration=st.floats(0.1, 10.0),
+    samples=sample_lists(),
+)
+def test_calibrated_gate_matches_analytic(
+    j1, j2, d1, d2, shape, winding, amplitude, duration, samples
+):
+    # Criterion 2's tolerances, for every shape at its own key's value.
+    couplings = {"j1": j1, "j2": j2, "d1": d1, "d2": d2}
+    assume(math.hypot(j1, j2, d1, d2) / 2 >= 0.1)  # omega = |(alpha1, alpha2)|
+    own = {"square": amplitude, "gaussian": duration, "tabulated": samples}[shape]
+    config = {**couplings, "shape": shape, "winding": winding, OWN_KEY[shape]: own}
+    with tempfile.TemporaryDirectory() as work:
+        cfg_path = Path(work) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = str(Path(work) / "out")
+        assert main(["gate", "--config", str(cfg_path), "--out", out]) == 0
+        report = json.loads(Path(out + ".json").read_text())
+    assert report["deviation_from_analytic"] <= 1e-9
+    assert report["leakage"] <= 1e-10
+    assert report["pulse"]["winding"] == winding
+    cyclic = (2 * winding + 1) * math.pi
+    assert abs(report["pulse"]["area"] * report["polar"]["omega"] - cyclic) <= 1e-9
+
