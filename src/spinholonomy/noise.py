@@ -27,7 +27,8 @@ Every sweep runs in the calling thread and returns its grid in axis
 order.  The DM grid is a loop of closed-form gates.  The amplitude grid
 shares one envelope and one pair of arm Hamiltonians across its points,
 which differ only in two scalar offsets, so it is stepped once for the
-whole grid: one stacked exponential per pulse step.
+whole grid, each step in closed form on the two S_z stars the arms act
+on; ``expm_hermitian`` serves only the dephasing blocks below.
 
 The dephasing generator is constant over the square pulse.  The coupling
 is the same for every nucleus, so each electron's nuclei enter only
@@ -49,17 +50,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionOverflow, NonUnitaryTarget
-from .gates import RegisterGate, analytic_entangler, extract_register_gate
-from .linalg import CMatrix, expm_hermitian, unitarity_defect
+from .gates import EXTRACT_UNITARY_TOL, RegisterGate, analytic_entangler, extract_register_gate
+from .linalg import CMatrix, expm_hermitian, require_unitary, unitarity_defect
 from .propagation import (
     PulsePlan,
     _midpoint_samples,
-    _ordered_product,
     _require_cyclic,
     propagator_closed_form,
     pulse_area,
+    star_product,
 )
 from .spin_chain import (
+    STARS,
     ExchangeCouplings,
     arm_hamiltonians,
     build_hamiltonians,
@@ -161,6 +163,12 @@ class SweepTable:
                     yield (x, y, float(self.fidelity[i, j]))
 
 
+def _require_unitary_target(target: RegisterGate) -> None:
+    if target.leakage > TARGET_LEAKAGE_TOL or unitarity_defect(target.matrix) > 1e-9:
+        msg = f"target has leakage {target.leakage:.3e}; a unitary gate is required"
+        raise NonUnitaryTarget(msg)
+
+
 def process_fidelity(
     target: RegisterGate, actual: RegisterGate | QuantumChannel
 ) -> float:
@@ -171,10 +179,7 @@ def process_fidelity(
     NonUnitaryTarget
         If the target gate is leaky or non-unitary.
     """
-    if target.leakage > TARGET_LEAKAGE_TOL or unitarity_defect(target.matrix) > 1e-9:
-        raise NonUnitaryTarget(
-            f"target has leakage {target.leakage:.3e}; a unitary gate is required"
-        )
+    _require_unitary_target(target)
     v = target.matrix
     if isinstance(actual, QuantumChannel):
         blocks = actual.kraus[:, :4, :4]
@@ -246,34 +251,38 @@ def amplitude_noise_sweep(
     of ``inf`` means no offset); the two arm Hamiltonians do not commute,
     so the perturbed propagator is evaluated by time-ordered stepping.  The
     grid points differ only in their offsets, so the envelope is sampled
-    once and every step exponentiates the whole grid in one stacked call,
-    with the same result as :func:`propagator_time_ordered` point by point.
+    once and the grid is stepped as one stack by ``star_product``: the
+    product of :func:`propagator_time_ordered`, each step in closed form.
 
     Raises
     ------
     ValueError
-        If a ratio is zero or NaN, before any exponential.
+        If a ratio is zero or NaN or its offset overflows, before any step.
     """
     ratios1 = tuple(float(x) for x in ratios1)
     ratios2 = tuple(float(x) for x in ratios2)
+    offsets = []
     for axis, ratios in (("ratio1", ratios1), ("ratio2", ratios2)):
         for r in ratios:
             if r == 0 or math.isnan(r):
                 raise ValueError(f"{axis} must be nonzero, not NaN (inf: no offset); got {r!r}")
+            if math.isinf(pulse.amplitude / r):
+                raise ValueError(f"{axis} {r!r} makes the offset amplitude / {axis} overflow")
+        offsets.append([pulse.amplitude / r for r in ratios])
     polar = couplings_to_polar(couplings)
     _require_cyclic(pulse, polar.omega)
     target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
-    h1, h2 = arm_hamiltonians(couplings)
-
-    def offset(r):
-        return 0.0 if math.isinf(r) else pulse.amplitude / r
-
-    offsets = np.array([(offset(a), offset(b)) for a in ratios1 for b in ratios2])
-    offsets = offsets.reshape(-1, 2)
+    _require_unitary_target(target)
+    stars = np.array(STARS)
+    b1, b2 = (h[stars[:, 1:], stars[:, :1]] for h in arm_hamiltonians(couplings))
+    grid_offsets = np.array([(a, b) for a in offsets[0] for b in offsets[1]]).reshape(-1, 2)
     dt, envelope = _midpoint_samples([pulse.envelope], pulse.duration, steps)
-    u = _ordered_product([h1, h2], envelope[:, :, None] + offsets, dt)
-    values = [process_fidelity(target, extract_register_gate(m)) for m in u]
-    grid = np.array(values).reshape(len(ratios1), len(ratios2))
+    u = star_product(b1, b2, envelope[:, :, None] + grid_offsets, dt)
+    require_unitary(u, "propagator", EXTRACT_UNITARY_TOL)
+    full = np.tile(np.eye(8, dtype=np.complex128), (len(u), 1, 1))
+    full[:, stars[:, :, None], stars[:, None, :]] = u
+    overlap = np.einsum("sp,ksp->k", target.matrix.conj(), full[:, :4, :4])
+    grid = (np.abs(overlap) ** 2 / 16.0).reshape(len(ratios1), len(ratios2))
     return SweepTable(
         axis_names=("ratio1", "ratio2"),
         axis_values=(ratios1, ratios2),

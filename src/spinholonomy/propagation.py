@@ -9,8 +9,8 @@ provided:
   closed-form SVD factors of the exchange matrix;
 * :func:`propagator_time_ordered` is a brute-force midpoint-rule product of
   per-step exponentials that also handles several independently enveloped
-  Hamiltonian parts (needed for noise studies, where the parts do not
-  commute).
+  Hamiltonian parts, which need not commute; :func:`star_product` is the
+  same product in closed form for parts acting on 3-state stars.
 
 A square pulse of amplitude ``Omega`` and duration ``tau`` realizes the gate
 when the cyclicity condition ``a_tau * omega = (2n + 1) * pi`` holds; only
@@ -93,6 +93,8 @@ def gaussian_pulse(peak: float, duration: float) -> PulsePlan:
 
 def tabulated_pulse(samples: Sequence[tuple[float, float]]) -> PulsePlan:
     samples = tuple((float(t), float(v)) for t, v in samples)
+    if len(samples) < 2:
+        raise ValueError("tabulated pulse needs at least two samples")
     peak = max(v for _, v in samples)
     return PulsePlan("tabulated", peak, samples[-1][0], samples)
 
@@ -205,33 +207,42 @@ def _midpoint_samples(envelopes: Sequence[Envelope], duration: float, steps: int
     )
 
 
-def _ordered_product(
-    matrices: Sequence[CMatrix], coefficients: np.ndarray, dt: float
-) -> np.ndarray:
-    """Time-ordered step products for a batch, shape ``(batch, d, d)``.
+def _runs(samples: np.ndarray):
+    """First step and length of each run of equal consecutive sample rows."""
+    flat = samples.reshape(len(samples), -1)
+    starts = np.flatnonzero(np.r_[True, np.any(flat[1:] != flat[:-1], axis=1)])
+    return zip(starts, np.diff(np.r_[starts, len(samples)]))
 
-    Step ``i`` of member ``b`` exponentiates
-    ``sum_p coefficients[i, b, p] * matrices[p]`` over ``dt``; each step
-    exponentiates the whole batch in one stacked call.  Consecutive steps
-    whose ``(batch, parts)`` coefficients are all equal share one step
-    matrix, applied by binary exponentiation.
+
+def star_product(
+    b1: np.ndarray, b2: np.ndarray, coefficients: np.ndarray, dt: float
+) -> np.ndarray:
+    """Midpoint-rule step products on 3-state stars, shape ``(P, S, 3, 3)``.
+
+    At step ``i`` star ``s`` of member ``p`` evolves under ``H = [[0, b^dag],
+    [b, 0]]`` (center, then leaves), ``b = c1 b1[s] + c2 b2[s]`` with ``b1``,
+    ``b2`` of shape ``(S, 2)`` and ``(c1, c2) = coefficients[i, p]``.  With
+    ``r = |b|`` a step of width ``w`` is exactly, also at ``r = 0``,
+    ``[[cos rw, -i w sinc(rw/pi) b^dag], [-i w sinc(rw/pi) b, 1 - (w^2/2)
+    sinc^2(rw/2pi) b b^dag]]``; a run of equal coefficient rows is one step.
     """
-    steps, batch, _ = coefficients.shape
-    dim = matrices[0].shape[0] if len(matrices) else 1
-    u = np.broadcast_to(np.eye(dim, dtype=np.complex128), (batch, dim, dim))
-    i = 0
-    while i < steps:
-        j = i
-        while j + 1 < steps and np.array_equal(coefficients[j + 1], coefficients[i]):
-            j += 1
-        h_inst = np.zeros((batch, dim, dim), dtype=np.complex128)
-        for m, c in zip(matrices, coefficients[i].T):
-            h_inst += c[:, None, None] * m
-        step_u = expm_hermitian(h_inst, dt)
-        run = j - i + 1
-        u = (step_u if run == 1 else np.linalg.matrix_power(step_u, run)) @ u
-        i = j + 1
-    return u
+    # Entries lead: a 3x3 product is 27 operations on (P, S) planes.
+    members, stars = coefficients.shape[1], len(b1)
+    u = np.multiply.outer(np.eye(3, dtype=np.complex128), np.ones((members, stars)))
+    b1, b2 = np.asarray(b1).T[:, None, :], np.asarray(b2).T[:, None, :]
+    for i, run in _runs(coefficients):
+        w = run * dt
+        b = coefficients[i, :, 0, None] * b1 + coefficients[i, :, 1, None] * b2
+        r = np.hypot(np.abs(b[0]), np.abs(b[1]))
+        arm = -1j * w * np.sinc(r * w / np.pi) * b
+        half = w * np.sinc(r * w / (2 * np.pi)) * b  # scaled first: b b^dag may overflow
+        step = np.empty_like(u)
+        step[0, 0] = np.cos(r * w)
+        step[0, 1:] = -arm.conj()
+        step[1:, 0] = arm
+        step[1:, 1:] = np.eye(2)[:, :, None, None] - 0.5 * half[:, None] * half[None].conj()
+        u = np.sum(step[:, :, None] * u[None], axis=1)
+    return np.moveaxis(u, (0, 1), (-2, -1))
 
 
 def propagator_time_ordered(
@@ -244,14 +255,17 @@ def propagator_time_ordered(
     Each step exponentiates the instantaneous Hamiltonian
     ``sum_p envelope_p(t_mid) * h_p`` sampled at the step midpoint; the
     step unitaries are multiplied in time order.  Each envelope is sampled
-    once per step.  Consecutive steps whose envelope samples coincide
-    (square pulses, resolved plateaus) share one step matrix and are
-    applied by binary exponentiation, which evaluates the same ordered
-    product.
+    once per step.  A run of consecutive steps whose envelope samples
+    coincide (square pulses, resolved plateaus) is one exponential over
+    the run's width, which is exact for a constant generator.
     """
     dt, values = _midpoint_samples([env for _, env in h_parts], duration, steps)
     matrices = [np.asarray(m, dtype=np.complex128) for m, _ in h_parts]
-    return _ordered_product(matrices, values[:, None, :], dt)[0]
+    u = np.eye(len(matrices[0]) if matrices else 1, dtype=np.complex128)
+    for i, run in _runs(values):
+        h_inst = sum((c * m for c, m in zip(values[i], matrices)), np.zeros_like(u))
+        u = expm_hermitian(h_inst, run * dt) @ u
+    return u
 
 
 __all__ = [
@@ -267,4 +281,5 @@ __all__ = [
     "cyclicity_defect",
     "propagator_closed_form",
     "propagator_time_ordered",
+    "star_product",
 ]

@@ -133,6 +133,10 @@ def _coupling_operators() -> list[CMatrix]:
 # Read-only by convention: arm_hamiltonians only scales and adds these.
 _XY1, _DM1, _XY2, _DM2 = _coupling_operators()
 
+#: (center, arm-1 leaf, arm-2 leaf) of the two S_z sectors the arms act on:
+#: each arm couples only its leaf to the center; |000> and |111> are idle.
+STARS = ((4, 2, 1), (3, 5, 6))
+
 
 def couplings_to_polar(c: ExchangeCouplings) -> PolarCouplings:
     """Polar form (omega, theta, phi1, phi2) of the couplings.
@@ -251,4 +255,5 @@ __all__ = [
     "build_hamiltonians",
     "ancilla_ground_projector",
     "arm_hamiltonians",
+    "STARS",
 ]

@@ -335,6 +335,17 @@ def test_sweep_noise_nan_ratio_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_noise_overflowing_offset_exits_3(tmp_path, capsys):
+    # amplitude / 1e-310 overflows; the ratio is refused by name, before
+    # any stepping and without a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "sweep-noise", {"ratios1": [1e-310]}) == 3
+    err = capsys.readouterr().err
+    assert "ratio1 1e-310" in err and "overflow" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_dm_nan_ratio_exits_3(tmp_path, capsys):
     assert run(tmp_path, "sweep-dm", {"d1_ratios": [math.nan]}) == 3
     assert "d1" in capsys.readouterr().err

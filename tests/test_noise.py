@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spinholonomy import (
     couplings_to_polar,
     dephasing_sweep,
     dm_sweep,
+    expm_hermitian,
     extract_register_gate,
     gaussian_pulse,
     hyperfine_channel,
@@ -201,8 +203,8 @@ def test_amplitude_sweep_matches_stepped_oracle(shape, polar, duration, ratios1,
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_amplitude_sweep_equals_pointwise_propagation(shape):
-    # The stacked sweep and a per-point time-ordered product do the same
-    # arithmetic, so the grids agree bit for bit.
+    # The closed-form star steps and the per-point eigh steps evaluate the
+    # same midpoint product; they differ by roundoff only.
     couplings = ExchangeCouplings(1.1, -0.6, 0.3, 0.8)
     pulse = cyclic_pulse(shape, couplings, 1.7)
     ratios1, ratios2 = [math.inf, -12.0, 35.0], [8.0, math.inf, -60.0]
@@ -224,13 +226,75 @@ def test_amplitude_sweep_equals_pointwise_propagation(shape):
                 200,
             )
             grid[i, k] = process_fidelity(target, extract_register_gate(u))
-    assert np.array_equal(table.fidelity, grid)
+    assert max_abs(table.fidelity - grid) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_amplitude_sweep_needs_no_exponential(no_exponentials, monkeypatch, shape):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called eigh")
+
+    monkeypatch.setattr("numpy.linalg.eigh", refuse)
+    couplings = ExchangeCouplings(0.9, 1.3, -0.4, 0.2)
+    pulse = cyclic_pulse(shape, couplings, 1.3)
+    table = amplitude_noise_sweep(couplings, [math.inf, 25.0], [-40.0, math.inf], pulse)
+    assert table.fidelity.shape == (2, 2)
+    assert abs(table.fidelity[0, 1] - 1.0) <= 1e-9
+    assert np.all((0.0 < table.fidelity) & (table.fidelity < 1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0])
 def test_amplitude_sweep_rejects_bad_ratio_at_entry(no_exponentials, bad):
     with pytest.raises(ValueError, match=rf"ratio2 .*{bad!r}"):
         amplitude_noise_sweep(SYM, [10.0], [20.0, bad], sym_pulse())
+
+
+@pytest.mark.parametrize("tiny", [1e-310, -5e-324])
+def test_amplitude_sweep_rejects_overflowing_offset_at_entry(no_exponentials, tiny):
+    with pytest.raises(ValueError, match=rf"ratio1 {tiny!r} .*overflow"):
+        amplitude_noise_sweep(SYM, [10.0, tiny], [20.0], sym_pulse())
+
+
+def test_amplitude_sweep_huge_finite_offset_stays_finite():
+    # amplitude / 1e-200 is finite, but |b|^2 and b b^dag would overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = amplitude_noise_sweep(SYM, [1e-200], [10.0], sym_pulse()).fidelity
+    assert 0.0 <= f[0, 0] <= 1.0
+
+
+def test_amplitude_sweep_default_grid_against_mpmath():
+    # The default sweep-noise grid is one square step of the whole pulse
+    # per point.  A 30-digit expm of the full 8x8 generator is the
+    # reference; the closed form is nearer to it than the earlier route of
+    # one eigh step raised to the 200th power.
+    mpmath = pytest.importorskip("mpmath")
+    from spinholonomy.cli import RunConfig
+
+    cfg = RunConfig(command="sweep-noise")
+    couplings = cfg.couplings()
+    polar = couplings_to_polar(couplings)
+    pulse = solve_cyclic(polar.omega, cfg.amplitude, cfg.winding)
+    table = amplitude_noise_sweep(couplings, cfg.ratios1, cfg.ratios2, pulse, cfg.steps)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
+    h1, h2 = arm_hamiltonians(couplings)
+    dt = pulse.duration / cfg.steps
+    new_err = old_err = 0.0
+    with mpmath.workdps(30):
+        v = mpmath.matrix(target.conj().tolist())
+        for i, r1 in enumerate(cfg.ratios1):
+            for k, r2 in enumerate(cfg.ratios2):
+                h = (pulse.amplitude + pulse.amplitude / r1) * h1
+                h = h + (pulse.amplitude + pulse.amplitude / r2) * h2
+                u = mpmath.expm(-1j * mpmath.mpf(pulse.duration) * mpmath.matrix(h.tolist()))
+                overlap = mpmath.fsum(v[s, q] * u[s, q] for s in range(4) for q in range(4))
+                want = abs(overlap) ** 2 / 16
+                old = np.linalg.matrix_power(expm_hermitian(h, dt), cfg.steps)[:4, :4]
+                old_f = abs(np.sum(target.conj() * old)) ** 2 / 16
+                new_err = max(new_err, abs(float(table.fidelity[i, k] - want)))
+                old_err = max(old_err, abs(float(old_f - want)))
+    assert new_err <= 1e-14
+    assert new_err < old_err
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -2.0])

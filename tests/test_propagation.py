@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_couplings
@@ -10,6 +10,8 @@ from spinholonomy import (
     OutOfRange,
     ExchangeCouplings,
     ZeroCoupling,
+    analytic_entangler,
+    arm_hamiltonians,
     build_hamiltonians,
     couplings_to_polar,
     expm_hermitian,
@@ -23,6 +25,8 @@ from spinholonomy import (
     tabulated_pulse,
 )
 from spinholonomy.linalg import max_abs, unitarity_defect
+from spinholonomy.propagation import star_product
+from spinholonomy.spin_chain import STARS
 
 
 def random_tabulated(rng, duration, nodes=16):
@@ -211,6 +215,54 @@ def test_time_ordered_unitarity(rng):
         assert unitarity_defect(u) <= 1e-10
 
 
+# --- closed-form star steps ---------------------------------------------
+
+LEAVES = st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b1=LEAVES,
+    b2=LEAVES,
+    c=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    w=st.floats(0.0, 5.0),
+)
+@example(b1=[1.0, 0.5j, 0, 0], b2=[0, 0, 0.3, -1j], c=(0.0, 0.0), w=1.3)  # b = 0
+@example(b1=[1.0, 0.5j, 0.2, 0], b2=[0, 0.7, 0.3, -1j], c=(1.4, 0.0), w=2.1)  # arm 2 off
+@example(b1=[1.0, 0.5j, 0.2, 0], b2=[0, 0.7, 0.3, -1j], c=(0.0, -0.8), w=2.1)  # arm 1 off
+def test_star_step_equals_expm(b1, b2, c, w):
+    b1, b2 = np.reshape(b1, (2, 2)), np.reshape(b2, (2, 2))
+    u = star_product(b1, b2, np.array([[c]]), w)
+    for s in range(2):
+        b = c[0] * b1[s] + c[1] * b2[s]
+        h = np.zeros((3, 3), dtype=complex)
+        h[1:, 0], h[0, 1:] = b, b.conj()
+        assert max_abs(u[0, s] - expm_hermitian(h, w)) <= 1e-13
+
+
+def test_cyclic_square_pulse_is_the_star_reflection(rng):
+    # At r * area = pi each star is diag(-1, 1 - 2 b^ b^dag), and the
+    # ancilla-|0> block of the embedded stars is the holonomic gate.
+    stars = np.array(STARS)
+    for _ in range(20):
+        c = random_couplings(rng)
+        polar = couplings_to_polar(c)
+        p = solve_cyclic(polar.omega, float(rng.uniform(0.3, 2.0)), int(rng.integers(0, 3)))
+        h1, h2 = arm_hamiltonians(c)
+        b1, b2 = h1[stars[:, 1:], stars[:, :1]], h2[stars[:, 1:], stars[:, :1]]
+        u = star_product(b1, b2, np.full((200, 1, 2), p.amplitude), p.duration / 200)[0]
+        for s in range(2):
+            b_hat = (b1[s] + b2[s]) / np.linalg.norm(b1[s] + b2[s])
+            want = np.eye(3, dtype=complex)
+            want[0, 0] = -1.0
+            want[1:, 1:] -= 2 * np.outer(b_hat, b_hat.conj())
+            assert max_abs(u[s] - want) <= 1e-14
+        full = np.eye(8, dtype=complex)
+        full[stars[:, :, None], stars[:, None, :]] = u
+        gate = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
+        assert max_abs(full[:4, :4] - gate) <= 1e-14
+
+
 # --- shape independence and convergence --------------------------------
 
 def test_pulse_shape_independence(rng):
@@ -264,6 +316,8 @@ def test_pulse_plan_validation():
         square_pulse(1.0, -1.0)
     with pytest.raises(ValueError):
         tabulated_pulse([(0.0, 1.0)])  # too few samples
+    with pytest.raises(ValueError, match="at least two samples"):
+        tabulated_pulse([])
     with pytest.raises(ValueError):
         tabulated_pulse([(0.0, 1.0), (2.0, 1.0), (1.0, 0.5)])  # non-monotone times
     with pytest.raises(ValueError, match="samples must be finite"):

@@ -16,6 +16,7 @@ from spinholonomy import (
     svd,
 )
 from spinholonomy.linalg import hermiticity_defect, max_abs, unitarity_defect
+from spinholonomy.spin_chain import STARS
 
 
 def test_raising_operator_action():
@@ -118,6 +119,19 @@ def test_arm_hamiltonians_sum_to_h_eff(rng):
         c = random_couplings(rng, min_omega=0.0)
         h1, h2 = arm_hamiltonians(c)
         assert max_abs(h1 + h2 - build_hamiltonians(c).h_eff) <= 1e-14
+
+
+def test_arm_hamiltonians_vanish_outside_the_stars(rng):
+    # Arm k couples only its leaf to the center of each star: every other
+    # entry, the diagonal and |000>, |111> included, is exactly zero.
+    for _ in range(100):
+        c = random_couplings(rng, min_omega=0.0)
+        for arm, h in enumerate(arm_hamiltonians(c), start=1):
+            inside = np.zeros((8, 8), dtype=bool)
+            for star in STARS:
+                inside[star[arm], star[0]] = inside[star[0], star[arm]] = True
+            assert np.all(h[~inside] == 0)
+            assert hermiticity_defect(h) == 0
 
 
 def test_zero_couplings_give_zero_hamiltonian():
