@@ -9,6 +9,7 @@ with maximal entangling power 2/9.
 import numpy as np
 
 import spinholonomy as sh
+from spinholonomy.spin_chain import STARS
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
@@ -21,11 +22,13 @@ print(f"polar     : omega={polar.omega:.6f} theta={polar.theta:.6f} "
       f"phi1={polar.phi1:.3f} phi2={polar.phi2:.3f}")
 
 # 2. Hamiltonians.  The chain Hamiltonian is block off-diagonal in the
-#    ancilla; the exchange matrix W carries all coupling information.
+#    ancilla and conserves total S_z: it couples the center of each of two
+#    3-state stars to two leaves, with couplings b of norm |b| = omega.
 ham = sh.build_hamiltonians(couplings)
-print("\nexchange matrix W:")
-print(ham.w)
-print("singular values of W:", np.round(sh.svd(ham.w)[1], 6))
+print(f"\nomega = {polar.omega:.6f}")
+for center, *leaves in STARS:
+    b = ham.h_eff[leaves, center]
+    print(f"star (center {center}, leaves {leaves}): |b| = {np.linalg.norm(b):.6f}")
 
 # 3. Pulse.  A square pulse whose area a_tau satisfies
 #    a_tau * omega = pi returns the ancilla-|0> subspace to itself.

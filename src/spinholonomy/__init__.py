@@ -32,7 +32,7 @@ from .invariants import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from .linalg import expm_hermitian, kron, svd
+from .linalg import expm_hermitian, kron
 from .noise import (
     HyperfineBath,
     QuantumChannel,
@@ -107,7 +107,6 @@ __all__ = [
     "dephasing_sweep",
     "kron",
     "expm_hermitian",
-    "svd",
     "MAX_ENTANGLING_POWER",
     "WEYL_VERTICES",
     "SpinHolonomyError",

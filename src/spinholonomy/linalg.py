@@ -7,7 +7,8 @@ for the dense test oracle); double precision leaves orders of
 magnitude of headroom at these sizes, so tolerances are fixed once: 1e-12
 for algebraic identities, 1e-8 for stepped-versus-exact propagators.
 :func:`expm_hermitian` serves the dephasing blocks and the general
-time-ordered oracle; chain stepping has closed forms.
+time-ordered oracle; every chain propagator is a closed-form star step,
+and the Kronecker product serves only the spin operators built at import.
 """
 
 from __future__ import annotations
@@ -92,13 +93,3 @@ def expm_hermitian(h: CMatrix, scale: float) -> CMatrix:
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * scale * w)[..., None, :]) @ dagger(v)
 
-
-def svd(m: CMatrix) -> tuple[CMatrix, np.ndarray, CMatrix]:
-    """Singular value decomposition m = u @ diag(s) @ dagger(v).
-
-    Returns ``(u, s, v)`` with the singular values ``s`` non-negative and
-    sorted descending, and ``u``, ``v`` unitary.  Note the third factor is
-    ``v`` itself, not its adjoint.
-    """
-    u, s, vh = np.linalg.svd(as_cmatrix(m))
-    return u, s, dagger(vh)

@@ -24,7 +24,8 @@ Three perturbations are studied:
   the hyperfine-decoherence to gate-operation time ratio.
 
 Every sweep runs in the calling thread and returns its grid in axis
-order.  The DM grid is a loop of closed-form gates.  The amplitude grid
+order.  The DM grid is a loop of closed-form gates, each one exact step
+on the two S_z stars the chain acts on.  The amplitude grid
 shares one envelope and one pair of arm Hamiltonians across its points,
 which differ only in two scalar offsets, so it is stepped once for the
 whole grid, each step in closed form on the two S_z stars the arms act
@@ -54,14 +55,15 @@ from .gates import EXTRACT_UNITARY_TOL, RegisterGate, analytic_entangler, extrac
 from .linalg import CMatrix, expm_hermitian, require_unitary, unitarity_defect
 from .propagation import (
     PulsePlan,
+    _embed_stars,
     _midpoint_samples,
     _require_cyclic,
+    _star_couplings,
     propagator_closed_form,
     pulse_area,
     star_product,
 )
 from .spin_chain import (
-    STARS,
     ExchangeCouplings,
     arm_hamiltonians,
     build_hamiltonians,
@@ -273,15 +275,12 @@ def amplitude_noise_sweep(
     _require_cyclic(pulse, polar.omega)
     target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
     _require_unitary_target(target)
-    stars = np.array(STARS)
-    b1, b2 = (h[stars[:, 1:], stars[:, :1]] for h in arm_hamiltonians(couplings))
+    b1, b2 = (_star_couplings(h) for h in arm_hamiltonians(couplings))
     grid_offsets = np.array([(a, b) for a in offsets[0] for b in offsets[1]]).reshape(-1, 2)
     dt, envelope = _midpoint_samples([pulse.envelope], pulse.duration, steps)
     u = star_product(b1, b2, envelope[:, :, None] + grid_offsets, dt)
     require_unitary(u, "propagator", EXTRACT_UNITARY_TOL)
-    full = np.tile(np.eye(8, dtype=np.complex128), (len(u), 1, 1))
-    full[:, stars[:, :, None], stars[:, None, :]] = u
-    overlap = np.einsum("sp,ksp->k", target.matrix.conj(), full[:, :4, :4])
+    overlap = np.einsum("sp,ksp->k", target.matrix.conj(), _embed_stars(u)[:, :4, :4])
     grid = (np.abs(overlap) ** 2 / 16.0).reshape(len(ratios1), len(ratios2))
     return SweepTable(
         axis_names=("ratio1", "ratio2"),

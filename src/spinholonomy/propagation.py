@@ -2,15 +2,16 @@
 
 The chain is driven by a common scalar envelope, ``H(t) = envelope(t) * H0``,
 so the propagator depends on time only through the accumulated pulse area
-``a_t = integral_0^t envelope(s) ds``.  Two independent evaluation routes are
-provided:
+``a_t = integral_0^t envelope(s) ds``.  Every chain generator conserves
+total S_z and acts only on the two 3-state stars of ``spin_chain.STARS``,
+where each step has an exact closed form; one evaluation route is built on
+it and one independent oracle is kept:
 
-* :func:`propagator_closed_form` assembles the 8x8 unitary from the
-  closed-form SVD factors of the exchange matrix;
+* :func:`propagator_closed_form` is one exact star step of width ``a_t``;
+  :func:`star_product` is the midpoint-rule product of such steps for
+  independently enveloped arms, which need not commute, for a whole stack;
 * :func:`propagator_time_ordered` is a brute-force midpoint-rule product of
-  per-step exponentials that also handles several independently enveloped
-  Hamiltonian parts, which need not commute; :func:`star_product` is the
-  same product in closed form for parts acting on 3-state stars.
+  per-step exponentials of any Hermitian parts, the test oracle.
 
 A square pulse of amplitude ``Omega`` and duration ``tau`` realizes the gate
 when the cyclicity condition ``a_tau * omega = (2n + 1) * pi`` holds; only
@@ -26,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonCyclicPulse, OutOfRange, ZeroCoupling
-from .linalg import CMatrix, dagger, expm_hermitian, kron
-from .spin_chain import HamiltonianSet
+from .linalg import CMatrix, expm_hermitian
+from .spin_chain import STARS, HamiltonianSet
 
 #: Standard deviation of the gaussian envelope as a fraction of the duration.
 #: Narrow enough that the clipped tails are negligible at double precision.
@@ -173,25 +174,52 @@ def _require_cyclic(p: PulsePlan, omega: float):
         )
 
 
-def propagator_closed_form(h: HamiltonianSet, area: float) -> CMatrix:
-    """The 8x8 propagator at pulse area ``area`` from the factored form.
+_STARS = np.array(STARS)
 
-    Assembled as the double sum over ancilla blocks
-    ``sum_{k,l} i^|k-l| |l><k| (x) V_l cos(a T + |k-l| pi/2) dagger(V_k)``,
-    which equals ``exp(-1j * area * h_eff)`` because the instantaneous
-    Hamiltonian commutes with itself at all times.
+
+def _star_step(b: np.ndarray, w: float) -> np.ndarray:
+    """Exact ``exp(-1j * w * [[0, b^dag], [b, 0]])``, center first.
+
+    ``b`` holds the two leaf couplings along its first axis, shape ``(2,
+    ...)``; the step has shape ``(3, 3, ...)``, entries leading.  With
+    ``r = |b|`` it is, also at ``r = 0``, ``[[cos rw, -i w sinc(rw/pi)
+    b^dag], [-i w sinc(rw/pi) b, 1 - (w^2/2) sinc^2(rw/2pi) b b^dag]]``.
     """
-    t = np.asarray(h.t_diag, dtype=float)
-    factors = (h.v0, h.v1)
-    u = np.zeros((8, 8), dtype=np.complex128)
-    for k in range(2):
-        for l in range(2):
-            unit = np.zeros((2, 2), dtype=np.complex128)
-            unit[l, k] = 1.0
-            phases = np.cos(area * t + abs(k - l) * math.pi / 2)
-            block = factors[l] @ np.diag(phases).astype(np.complex128) @ dagger(factors[k])
-            u += (1j) ** abs(k - l) * kron(unit, block)
-    return u
+    r = np.hypot(np.abs(b[0]), np.abs(b[1]))
+    arm = -1j * w * np.sinc(r * w / np.pi) * b
+    half = w * np.sinc(r * w / (2 * np.pi)) * b  # scaled first: b b^dag may overflow
+    step = np.empty((3, 3) + r.shape, dtype=np.complex128)
+    step[0, 0] = np.cos(r * w)
+    step[0, 1:] = -arm.conj()
+    step[1:, 0] = arm
+    eye = np.eye(2).reshape((2, 2) + (1,) * r.ndim)
+    step[1:, 1:] = eye - 0.5 * half[:, None] * half[None].conj()
+    return step
+
+
+def _star_couplings(h: CMatrix) -> np.ndarray:
+    """Leaf couplings ``h[leaf, center]`` of each star, shape ``(S, 2)``."""
+    return h[_STARS[:, 1:], _STARS[:, :1]]
+
+
+def _embed_stars(u: np.ndarray) -> np.ndarray:
+    """8x8 chain propagators ``(..., 8, 8)`` from their star blocks
+    ``(..., 2, 3, 3)``; ``|000>`` and ``|111>`` are idle."""
+    full = np.zeros(u.shape[:-3] + (8, 8), dtype=np.complex128)
+    full[..., range(8), range(8)] = 1.0
+    full[..., _STARS[:, :, None], _STARS[:, None, :]] = u
+    return full
+
+
+def propagator_closed_form(h: HamiltonianSet, area: float) -> CMatrix:
+    """The 8x8 propagator ``exp(-1j * area * h_eff)``, in closed form.
+
+    The instantaneous Hamiltonian commutes with itself at all times, so the
+    pulse is one exact star step of width ``area`` on the leaf couplings
+    that ``h_eff`` holds for each star.
+    """
+    step = _star_step(_star_couplings(h.h_eff).T, area)
+    return _embed_stars(np.moveaxis(step, (0, 1), (-2, -1)))
 
 
 Envelope = Callable[[float], float]
@@ -221,26 +249,17 @@ def star_product(
 
     At step ``i`` star ``s`` of member ``p`` evolves under ``H = [[0, b^dag],
     [b, 0]]`` (center, then leaves), ``b = c1 b1[s] + c2 b2[s]`` with ``b1``,
-    ``b2`` of shape ``(S, 2)`` and ``(c1, c2) = coefficients[i, p]``.  With
-    ``r = |b|`` a step of width ``w`` is exactly, also at ``r = 0``,
-    ``[[cos rw, -i w sinc(rw/pi) b^dag], [-i w sinc(rw/pi) b, 1 - (w^2/2)
-    sinc^2(rw/2pi) b b^dag]]``; a run of equal coefficient rows is one step.
+    ``b2`` of shape ``(S, 2)`` and ``(c1, c2) = coefficients[i, p]``.  Each
+    step is exact (:func:`_star_step`); a run of equal coefficient rows is
+    one step.
     """
     # Entries lead: a 3x3 product is 27 operations on (P, S) planes.
     members, stars = coefficients.shape[1], len(b1)
     u = np.multiply.outer(np.eye(3, dtype=np.complex128), np.ones((members, stars)))
     b1, b2 = np.asarray(b1).T[:, None, :], np.asarray(b2).T[:, None, :]
     for i, run in _runs(coefficients):
-        w = run * dt
         b = coefficients[i, :, 0, None] * b1 + coefficients[i, :, 1, None] * b2
-        r = np.hypot(np.abs(b[0]), np.abs(b[1]))
-        arm = -1j * w * np.sinc(r * w / np.pi) * b
-        half = w * np.sinc(r * w / (2 * np.pi)) * b  # scaled first: b b^dag may overflow
-        step = np.empty_like(u)
-        step[0, 0] = np.cos(r * w)
-        step[0, 1:] = -arm.conj()
-        step[1:, 0] = arm
-        step[1:, 1:] = np.eye(2)[:, :, None, None] - 0.5 * half[:, None] * half[None].conj()
+        step = _star_step(b, run * dt)
         u = np.sum(step[:, :, None] * u[None], axis=1)
     return np.moveaxis(u, (0, 1), (-2, -1))
 

@@ -10,13 +10,13 @@ throughout the package:
   with the ancilla as the leftmost tensor factor.
 
 With those conventions the chain Hamiltonian is block off-diagonal in the
-ancilla: ``H = S+_(a) (x) W + h.c.`` where the 4x4 exchange matrix ``W``
-acts on the register pair and carries the complex couplings
-``alpha_k = (J_k + i D_k) / 2``.  ``W`` has the closed-form singular value
-decomposition ``W = V0 @ diag(0, 0, omega, omega) @ dagger(V1)`` whose
-factors are assembled here explicitly; the generic numeric SVD is used only
-to validate them, since the holonomic gate depends on the specific column
-phases of ``V0``.
+ancilla and conserves total S_z: it couples only the centers and leaves of
+the two 3-state "stars" of :data:`STARS`, with the complex couplings
+``alpha_k = (J_k + i D_k) / 2`` on their arms, so each star's leaf
+couplings ``b`` have norm ``omega = sqrt(|alpha1|^2 + |alpha2|^2)``.  The
+paper's factored form, the exchange matrix ``W`` with its closed-form
+singular value decomposition, is kept in the tests as an independent
+oracle of the propagator.
 """
 
 from __future__ import annotations
@@ -88,19 +88,14 @@ class PolarCouplings:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSet:
-    """The 8x8 chain generator and the factored exchange matrix.
+    """The 8x8 chain generator.
 
     ``h_eff`` is the sum of the two arm Hamiltonians and the
     time-independent generator; during a pulse the instantaneous
-    Hamiltonian is ``envelope(t) * h_eff``.  ``t_diag`` is
-    ``(0, 0, omega, omega)``.
+    Hamiltonian is ``envelope(t) * h_eff``.
     """
 
     h_eff: CMatrix
-    w: CMatrix
-    v0: CMatrix
-    t_diag: tuple[float, float, float, float]
-    v1: CMatrix
 
 
 def build_spin_operators() -> dict[str, CMatrix]:
@@ -165,65 +160,12 @@ def polar_to_couplings(p: PolarCouplings) -> ExchangeCouplings:
     )
 
 
-def exchange_matrix(c: ExchangeCouplings) -> CMatrix:
-    """The 4x4 exchange matrix W acting on the register pair |s1 s2>."""
-    a1, a2 = c.alpha1, c.alpha2
-    w = np.zeros((4, 4), dtype=np.complex128)
-    w[1, 0] = a2
-    w[2, 0] = np.conj(a1)
-    w[3, 1] = np.conj(a1)
-    w[3, 2] = a2
-    return w
-
-
-def closed_form_factors(p: PolarCouplings) -> tuple[CMatrix, CMatrix, CMatrix]:
-    """Closed-form SVD factors (v0, t, v1) with W = v0 @ t @ dagger(v1)."""
-    cos_t, sin_t = math.cos(p.theta), math.sin(p.theta)
-    e1, e2 = np.exp(1j * p.phi1), np.exp(1j * p.phi2)
-    v0 = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, e1 * cos_t, 0, e2 * sin_t],
-            [0, -np.conj(e2) * sin_t, 0, np.conj(e1) * cos_t],
-            [0, 0, 1, 0],
-        ],
-        dtype=np.complex128,
-    )
-    v1 = np.array(
-        [
-            [0, 0, 0, 1],
-            [0, e2 * sin_t, e1 * cos_t, 0],
-            [0, -np.conj(e1) * cos_t, np.conj(e2) * sin_t, 0],
-            [1, 0, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    t = np.diag([0.0, 0.0, p.omega, p.omega]).astype(np.complex128)
-    return v0, t, v1
-
-
 def build_hamiltonians(c: ExchangeCouplings) -> HamiltonianSet:
-    """Assemble the chain generator and the factored exchange matrix.
-
-    ``h_eff`` is built term by term from the embedded spin operators (see
-    :func:`arm_hamiltonians`); the block identity
-    ``h_eff == kron(sp, w) + h.c.`` is a tested invariant rather than the
-    construction route.  The degenerate all-zero coupling case yields zero
-    matrices with the theta = 0 convention for the factors.
-    """
+    """Assemble the chain generator term by term from the embedded spin
+    operators (see :func:`arm_hamiltonians`); all-zero couplings give the
+    zero matrix."""
     h1, h2 = arm_hamiltonians(c)
-    try:
-        polar = couplings_to_polar(c)
-    except ZeroCoupling:
-        polar = PolarCouplings(omega=0.0, theta=0.0, phi1=0.0, phi2=0.0)
-    v0, t, v1 = closed_form_factors(polar)
-    return HamiltonianSet(
-        h_eff=h1 + h2,
-        w=exchange_matrix(c),
-        v0=v0,
-        t_diag=(0.0, 0.0, polar.omega, polar.omega),
-        v1=v1,
-    )
+    return HamiltonianSet(h_eff=h1 + h2)
 
 
 def ancilla_ground_projector() -> CMatrix:
@@ -250,8 +192,6 @@ __all__ = [
     "build_spin_operators",
     "couplings_to_polar",
     "polar_to_couplings",
-    "exchange_matrix",
-    "closed_form_factors",
     "build_hamiltonians",
     "ancilla_ground_projector",
     "arm_hamiltonians",

@@ -1,4 +1,5 @@
 """Shared test utilities: seeded random matrices and couplings, the
+paper's factored-exchange-matrix oracle of the chain propagator, the
 plain stepped oracle of the amplitude-noise study, the dense and the
 bit-basis S_z-sector oracles of the hyperfine dephasing study, and the
 one-gate-at-a-time oracles of the stacked invariants."""
@@ -12,8 +13,10 @@ import numpy as np
 from spinholonomy import (
     ExchangeCouplings,
     HyperfineBath,
+    PolarCouplings,
     QuantumChannel,
     WEYL_VERTICES,
+    ZeroCoupling,
     analytic_entangler,
     build_hamiltonians,
     couplings_to_polar,
@@ -63,6 +66,75 @@ def random_couplings(rng, min_omega: float = 0.1) -> ExchangeCouplings:
 def local_product(rng) -> np.ndarray:
     """Random single-qubit-only two-qubit unitary k1 (x) k2."""
     return np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+
+
+# --- the paper's factored form: the chain propagator oracle -----------------
+#
+# ``H = S+_(a) (x) W + h.c.``: the 4x4 exchange matrix ``W`` acts on the
+# register pair and has the closed-form SVD ``W = V0 diag(0, 0, omega,
+# omega) V1^dag``, whose column phases the holonomic gate depends on.
+
+def exchange_matrix(c: ExchangeCouplings) -> np.ndarray:
+    """The 4x4 exchange matrix W acting on the register pair |s1 s2>."""
+    a1, a2 = c.alpha1, c.alpha2
+    w = np.zeros((4, 4), dtype=np.complex128)
+    w[1, 0] = a2
+    w[2, 0] = np.conj(a1)
+    w[3, 1] = np.conj(a1)
+    w[3, 2] = a2
+    return w
+
+
+def polar_or_zero(c: ExchangeCouplings) -> PolarCouplings:
+    """Polar couplings, with the theta = 0 convention when all vanish."""
+    try:
+        return couplings_to_polar(c)
+    except ZeroCoupling:
+        return PolarCouplings(omega=0.0, theta=0.0, phi1=0.0, phi2=0.0)
+
+
+def closed_form_factors(p: PolarCouplings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form SVD factors (v0, t, v1) with W = v0 @ t @ dagger(v1)."""
+    cos_t, sin_t = math.cos(p.theta), math.sin(p.theta)
+    e1, e2 = np.exp(1j * p.phi1), np.exp(1j * p.phi2)
+    v0 = np.array(
+        [
+            [1, 0, 0, 0],
+            [0, e1 * cos_t, 0, e2 * sin_t],
+            [0, -np.conj(e2) * sin_t, 0, np.conj(e1) * cos_t],
+            [0, 0, 1, 0],
+        ],
+        dtype=np.complex128,
+    )
+    v1 = np.array(
+        [
+            [0, 0, 0, 1],
+            [0, e2 * sin_t, e1 * cos_t, 0],
+            [0, -np.conj(e1) * cos_t, np.conj(e2) * sin_t, 0],
+            [1, 0, 0, 0],
+        ],
+        dtype=np.complex128,
+    )
+    t = np.diag([0.0, 0.0, p.omega, p.omega]).astype(np.complex128)
+    return v0, t, v1
+
+
+def svd_propagator(c: ExchangeCouplings, area: float) -> np.ndarray:
+    """``exp(-1j * area * H)`` from the SVD factors, as the double sum over
+    ancilla blocks ``sum_{k,l} i^|k-l| |l><k| (x) V_l cos(a T + |k-l| pi/2)
+    V_k^dag``."""
+    v0, t, v1 = closed_form_factors(polar_or_zero(c))
+    t = np.diag(t).real
+    factors = (v0, v1)
+    u = np.zeros((8, 8), dtype=np.complex128)
+    for k in range(2):
+        for l in range(2):
+            unit = np.zeros((2, 2), dtype=np.complex128)
+            unit[l, k] = 1.0
+            phases = np.cos(area * t + abs(k - l) * math.pi / 2)
+            block = factors[l] @ np.diag(phases).astype(np.complex128) @ factors[k].conj().T
+            u += (1j) ** abs(k - l) * np.kron(unit, block)
+    return u
 
 
 def stepped_amplitude_fidelity(

@@ -1,0 +1,132 @@
+"""Write ``ledger.json``: 30-digit references for the CLI's default outputs.
+
+Run by hand, not by the test suite, whenever the inputs of a covered output
+change (about 10 s):
+
+    PYTHONPATH=src python tests/make_ledger.py
+
+The references are exact functions of the double-precision inputs that the
+package forms (couplings, pulse area and target gate), evaluated with a
+30-digit ``mpmath.expm`` of the chain generator, which is built from the
+paper's block form ``H = S+_(a) (x) W + h.c.`` and not from the package's
+Hamiltonian.  ``test_ledger.py`` compares the outputs with them.
+
+Covered outputs:
+
+* ``gate``: the register block of the default ``gate`` run;
+* ``sweep_dm``: the 225 fidelities of the default ``sweep-dm`` run.
+"""
+
+import json
+import math
+import re
+from pathlib import Path
+
+import mpmath as mp
+
+from spinholonomy import (
+    ExchangeCouplings,
+    analytic_entangler,
+    couplings_to_polar,
+    pulse_area,
+    solve_cyclic,
+)
+from spinholonomy.cli import RunConfig
+
+DIGITS = 30
+LEDGER = Path(__file__).resolve().parent / "ledger.json"
+
+
+def _generator(c: ExchangeCouplings) -> mp.matrix:
+    """The 8x8 chain generator in ``mp`` arithmetic, from the exchange
+    matrix ``W``: ``W`` in the ancilla block (0, 1), ``W^dag`` in (1, 0)."""
+    a1 = (mp.mpf(c.j1) + 1j * mp.mpf(c.d1)) / 2
+    a2 = (mp.mpf(c.j2) + 1j * mp.mpf(c.d2)) / 2
+    w = mp.zeros(4, 4)
+    w[1, 0] = a2
+    w[2, 0] = mp.conj(a1)
+    w[3, 1] = mp.conj(a1)
+    w[3, 2] = a2
+    h = mp.zeros(8, 8)
+    for i in range(4):
+        for j in range(4):
+            h[i, 4 + j] = w[i, j]
+            h[4 + j, i] = mp.conj(w[i, j])
+    return h
+
+
+def register_block(c: ExchangeCouplings, area: float) -> mp.matrix:
+    """Ancilla-|0> block of ``exp(-1j * area * H)``."""
+    u = mp.expm(-1j * mp.mpf(area) * _generator(c))
+    return u[0:4, 0:4]
+
+
+def fidelity(target, block: mp.matrix):
+    """``|tr(V^dag M)|^2 / 16`` for a double-precision target ``V``."""
+    overlap = mp.fsum(
+        mp.conj(mp.mpc(complex(target[s, q]))) * block[s, q]
+        for s in range(4)
+        for q in range(4)
+    )
+    return abs(overlap) ** 2 / 16
+
+
+def _digits(x) -> str:
+    return mp.nstr(x, DIGITS)
+
+
+def default_gate() -> dict:
+    cfg = RunConfig(command="gate")
+    couplings = cfg.couplings()
+    pulse = solve_cyclic(couplings_to_polar(couplings).omega, cfg.amplitude, cfg.winding)
+    area = pulse_area(pulse, pulse.duration)
+    block = register_block(couplings, area)
+    return {
+        "couplings": [couplings.j1, couplings.j2, couplings.d1, couplings.d2],
+        "area": area,
+        "re": [[_digits(mp.re(block[i, j])) for j in range(4)] for i in range(4)],
+        "im": [[_digits(mp.im(block[i, j])) for j in range(4)] for i in range(4)],
+    }
+
+
+def default_sweep_dm() -> dict:
+    """The grid as ``dm_sweep`` forms it: DM strengths ``hypot(j1, j2) / d``
+    on a pulse calibrated for the XY-only couplings."""
+    cfg = RunConfig(command="sweep-dm")
+    xy = ExchangeCouplings(cfg.j1, cfg.j2)
+    polar = couplings_to_polar(xy)
+    pulse = solve_cyclic(polar.omega, cfg.amplitude, cfg.winding)
+    area = pulse_area(pulse, pulse.duration)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
+    scale = math.hypot(cfg.j1, cfg.j2)
+    rows = []
+    for d1 in cfg.d1_ratios:
+        row = []
+        for d2 in cfg.d2_ratios:
+            c = ExchangeCouplings(cfg.j1, cfg.j2, scale / d1, scale / d2)
+            row.append(_digits(fidelity(target, register_block(c, area))))
+        rows.append(row)
+    return {
+        "j": [cfg.j1, cfg.j2],
+        "area": area,
+        "d1": list(cfg.d1_ratios),
+        "d2": list(cfg.d2_ratios),
+        "fidelity": rows,
+    }
+
+
+def main() -> None:
+    with mp.workdps(DIGITS + 10):
+        ledger = {"digits": DIGITS, "gate": default_gate(), "sweep_dm": default_sweep_dm()}
+    # One line per innermost list keeps the file short and its diffs readable.
+    text = re.sub(
+        r"\[\s+([^][{}]*?)\s+\]",
+        lambda m: "[" + ", ".join(x.strip() for x in m.group(1).split(",")) + "]",
+        json.dumps(ledger, indent=1),
+    )
+    LEDGER.write_text(text + "\n", encoding="utf-8")
+    print(f"wrote {LEDGER}")
+
+
+if __name__ == "__main__":
+    main()

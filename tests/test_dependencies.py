@@ -1,12 +1,17 @@
-"""The package imports and runs on numpy and the standard library alone."""
+"""The package imports and runs on numpy and the standard library alone,
+and after import no runtime path builds a Kronecker product."""
 
+import math
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-import spinholonomy
+import numpy as np
+
+import spinholonomy as sh
+from spinholonomy.cli import main
 
 # Runs in a fresh interpreter, where every scipy import is refused before
 # spinholonomy is imported; exits non-zero on any failure.
@@ -54,7 +59,7 @@ NO_SCIPY_SCRIPT = textwrap.dedent(
 
 
 def test_runs_without_scipy(tmp_path):
-    src = str(Path(spinholonomy.__file__).resolve().parents[1])
+    src = str(Path(sh.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT],
@@ -66,3 +71,22 @@ def test_runs_without_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "gate_run.json").exists()
+
+
+def test_no_runtime_path_builds_a_kronecker_product(tmp_path, monkeypatch):
+    # The spin operators are built once at import; after that every chain
+    # propagator is a star step and the bath works on multiplet blocks.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.kron called on a runtime path")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    assert main(["gate", "--out", str(tmp_path / "gate")]) == 0
+    pulse = sh.solve_cyclic(sh.couplings_to_polar(sh.ExchangeCouplings(1.0, 1.0)).omega, 1.0)
+    assert sh.dm_sweep(1.0, 1.0, [2.0, 5.0], [3.0, 7.0], pulse).fidelity.shape == (2, 2)
+    noise = sh.amplitude_noise_sweep(
+        sh.ExchangeCouplings(1.0, 1.0), [10.0, 50.0], [20.0, math.inf], pulse, steps=20
+    )
+    assert noise.fidelity.shape == (2, 2)
+    bath = sh.HyperfineBath(total_coupling=0.0, op_time=1.0, nuclei_per_electron=1)
+    dephasing = sh.dephasing_sweep(bath, [5.0], sh.ExchangeCouplings(1.0, 1.0))
+    assert dephasing.fidelity.shape == (1,)

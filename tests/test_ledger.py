@@ -1,0 +1,58 @@
+"""The CLI's default outputs against the 30-digit references of
+``ledger.json`` (written by ``make_ledger.py``).
+
+Each bound pins the current worst error of one output.  A change may lower
+an error; raising one is a documented change of accuracy, made together
+with the bound.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import pytest
+
+from spinholonomy.cli import RunConfig, main
+
+LEDGER = json.loads((Path(__file__).resolve().parent / "ledger.json").read_text())
+
+#: Worst absolute error per output: the measured 4.4e-16 (gate) and
+#: 7.2e-16 (sweep) plus one ulp of 1.0, since numpy's vectorized sin and
+#: cos may round differently on another CPU.
+PINNED = {"gate": 4.4e-16 + 2.3e-16, "sweep_dm": 7.2e-16 + 2.3e-16}
+
+
+def _worst(mpmath, got, want) -> float:
+    return max(float(abs(mpmath.mpf(g) - mpmath.mpf(w))) for g, w in zip(got, want))
+
+
+def test_default_gate_against_ledger(tmp_path):
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["gate", "--out", str(tmp_path / "gate")]) == 0
+    payload = json.loads((tmp_path / "gate.json").read_text())
+    ref = LEDGER["gate"]
+    couplings = payload["couplings"]
+    assert [couplings[k] for k in ("j1", "j2", "d1", "d2")] == ref["couplings"]
+    assert payload["pulse"]["area"] == ref["area"]
+    with mpmath.workdps(LEDGER["digits"]):
+        err = max(
+            _worst(mpmath, sum(payload["gate"][part], []), sum(ref[part], []))
+            for part in ("re", "im")
+        )
+    print(f"default gate: worst error {err:.2e} against the 30-digit reference")
+    assert err <= PINNED["gate"]
+
+
+def test_default_sweep_dm_against_ledger(tmp_path):
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["sweep-dm", "--out", str(tmp_path / "dm")]) == 0
+    rows = list(csv.reader((tmp_path / "dm.csv").read_text().splitlines()))[1:]
+    ref = LEDGER["sweep_dm"]
+    cfg = RunConfig(command="sweep-dm")
+    assert ref["j"] == [cfg.j1, cfg.j2]
+    want_axes = [(d1, d2) for d1 in ref["d1"] for d2 in ref["d2"]]
+    assert [(float(d1), float(d2)) for d1, d2, _ in rows] == want_axes
+    with mpmath.workdps(LEDGER["digits"]):
+        err = _worst(mpmath, [f for _, _, f in rows], sum(ref["fidelity"], []))
+    print(f"default sweep-dm: worst error {err:.2e} against the 30-digit reference")
+    assert err <= PINNED["sweep_dm"]

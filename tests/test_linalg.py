@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_matrix
-from spinholonomy import NonHermitianInput, expm_hermitian, kron, svd
+from helpers import exchange_matrix, random_matrix
+from spinholonomy import ExchangeCouplings, NonHermitianInput, expm_hermitian, kron
 from spinholonomy.linalg import max_abs, unitarity_defect
-from spinholonomy.spin_chain import ExchangeCouplings, exchange_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -105,13 +104,7 @@ def test_expm_stack_rejects_one_nan_member(rng):
         expm_hermitian(h, 1.0)
 
 
-# --- svd --------------------------------------------------------------
-
-def test_svd_identity():
-    u, s, v = svd(np.eye(4))
-    assert np.allclose(s, 1.0, atol=1e-15)
-    assert max_abs(u @ np.diag(s) @ v.conj().T - np.eye(4)) <= 1e-15
-
+# --- exchange matrix --------------------------------------------------
 
 def test_svd_exchange_matrix_singular_values(rng):
     # Any couplings give singular values (omega, omega, 0, 0).
@@ -119,16 +112,5 @@ def test_svd_exchange_matrix_singular_values(rng):
         j1, j2, d1, d2 = rng.uniform(-2, 2, size=4)
         w = exchange_matrix(ExchangeCouplings(j1, j2, d1, d2))
         omega = np.hypot(abs(j1 + 1j * d1) / 2, abs(j2 + 1j * d2) / 2)
-        _, s, _ = svd(w)
+        s = np.linalg.svd(w, compute_uv=False)
         assert np.allclose(s, [omega, omega, 0, 0], atol=1e-12)
-
-
-def test_svd_reconstructs_random_matrices(rng):
-    for n in (4, 8):
-        for _ in range(1000):
-            m = random_matrix(rng, n)
-            u, s, v = svd(m)
-            assert max_abs(u @ np.diag(s) @ v.conj().T - m) <= 1e-12
-            assert unitarity_defect(u) <= 1e-12
-            assert unitarity_defect(v) <= 1e-12
-            assert np.all(s >= 0) and np.all(np.diff(s) <= 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_couplings
+from helpers import random_couplings, svd_propagator
 from spinholonomy import (
     OutOfRange,
     ExchangeCouplings,
@@ -146,9 +146,12 @@ COUPLING = st.floats(-2.0, 2.0)
 @settings(max_examples=300, deadline=None)
 @given(j=st.tuples(COUPLING, COUPLING, COUPLING, COUPLING), area=st.floats(0.0, 10.0))
 def test_closed_form_equals_expm_at_any_couplings(j, area):
-    ham = build_hamiltonians(ExchangeCouplings(*j))
-    u_exp = expm_hermitian(ham.h_eff, area)
-    assert max_abs(propagator_closed_form(ham, area) - u_exp) <= 1e-12
+    # Two references: the eigendecomposition and the paper's SVD double sum.
+    c = ExchangeCouplings(*j)
+    ham = build_hamiltonians(c)
+    u = propagator_closed_form(ham, area)
+    assert max_abs(u - expm_hermitian(ham.h_eff, area)) <= 1e-12
+    assert max_abs(u - svd_propagator(c, area)) <= 1e-12
 
 
 # --- time-ordered oracle ----------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_couplings
+from helpers import closed_form_factors, exchange_matrix, polar_or_zero, random_couplings
 from spinholonomy import (
     ExchangeCouplings,
     ZeroCoupling,
@@ -13,7 +13,6 @@ from spinholonomy import (
     build_spin_operators,
     couplings_to_polar,
     polar_to_couplings,
-    svd,
 )
 from spinholonomy.linalg import hermiticity_defect, max_abs, unitarity_defect
 from spinholonomy.spin_chain import STARS
@@ -89,29 +88,29 @@ def test_block_structure_and_projector(rng):
 def test_h_eff_equals_block_form(rng):
     ops = build_spin_operators()
     for _ in range(200):
-        ham = build_hamiltonians(random_couplings(rng, min_omega=0.0))
-        block = np.kron(ops["sp"], ham.w) + np.kron(ops["sp"].conj().T, ham.w.conj().T)
-        assert max_abs(ham.h_eff - block) <= 1e-14
+        c = random_couplings(rng, min_omega=0.0)
+        w = exchange_matrix(c)
+        block = np.kron(ops["sp"], w) + np.kron(ops["sp"].conj().T, w.conj().T)
+        assert max_abs(build_hamiltonians(c).h_eff - block) <= 1e-14
 
 
 def test_closed_form_factors_reconstruct_w(rng):
     for _ in range(1000):
         c = random_couplings(rng)
-        ham = build_hamiltonians(c)
-        t = np.diag(ham.t_diag).astype(complex)
-        assert max_abs(ham.v0 @ t @ ham.v1.conj().T - ham.w) <= 1e-12
-        assert unitarity_defect(ham.v0) <= 1e-12
-        assert unitarity_defect(ham.v1) <= 1e-12
+        v0, t, v1 = closed_form_factors(couplings_to_polar(c))
+        assert max_abs(v0 @ t @ v1.conj().T - exchange_matrix(c)) <= 1e-12
+        assert unitarity_defect(v0) <= 1e-12
+        assert unitarity_defect(v1) <= 1e-12
 
 
 def test_t_diag_matches_numeric_svd(rng):
     for _ in range(200):
         c = random_couplings(rng)
-        ham = build_hamiltonians(c)
+        t_diag = np.diag(closed_form_factors(couplings_to_polar(c))[1]).real
         omega = couplings_to_polar(c).omega
-        assert ham.t_diag == (0.0, 0.0, omega, omega)
-        _, s, _ = svd(ham.w)
-        assert np.allclose(sorted(s), sorted(ham.t_diag), atol=1e-12)
+        assert tuple(t_diag) == (0.0, 0.0, omega, omega)
+        s = np.linalg.svd(exchange_matrix(c), compute_uv=False)
+        assert np.allclose(sorted(s), sorted(t_diag), atol=1e-12)
 
 
 def test_arm_hamiltonians_sum_to_h_eff(rng):
@@ -135,7 +134,8 @@ def test_arm_hamiltonians_vanish_outside_the_stars(rng):
 
 
 def test_zero_couplings_give_zero_hamiltonian():
-    ham = build_hamiltonians(ExchangeCouplings(0.0, 0.0, 0.0, 0.0))
-    assert max_abs(ham.h_eff) == 0
-    assert ham.t_diag == (0.0, 0.0, 0.0, 0.0)
-    assert unitarity_defect(ham.v0) <= 1e-15
+    c = ExchangeCouplings(0.0, 0.0, 0.0, 0.0)
+    assert max_abs(build_hamiltonians(c).h_eff) == 0
+    v0, t, _ = closed_form_factors(polar_or_zero(c))
+    assert max_abs(t) == 0
+    assert unitarity_defect(v0) <= 1e-15
