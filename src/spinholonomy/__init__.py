@@ -32,7 +32,7 @@ from .invariants import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from .linalg import expm_hermitian, kron
+from .linalg import expm_hermitian
 from .noise import (
     HyperfineBath,
     QuantumChannel,
@@ -58,12 +58,9 @@ from .spin_chain import (
     ExchangeCouplings,
     HamiltonianSet,
     PolarCouplings,
-    ancilla_ground_projector,
     arm_hamiltonians,
     build_hamiltonians,
-    build_spin_operators,
     couplings_to_polar,
-    polar_to_couplings,
 )
 
 __version__ = "0.1.0"
@@ -78,12 +75,9 @@ __all__ = [
     "HyperfineBath",
     "QuantumChannel",
     "SweepTable",
-    "build_spin_operators",
     "couplings_to_polar",
-    "polar_to_couplings",
     "build_hamiltonians",
     "arm_hamiltonians",
-    "ancilla_ground_projector",
     "square_pulse",
     "gaussian_pulse",
     "tabulated_pulse",
@@ -105,7 +99,6 @@ __all__ = [
     "amplitude_noise_sweep",
     "hyperfine_channel",
     "dephasing_sweep",
-    "kron",
     "expm_hermitian",
     "MAX_ENTANGLING_POWER",
     "WEYL_VERTICES",

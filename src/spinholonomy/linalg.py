@@ -8,7 +8,8 @@ magnitude of headroom at these sizes, so tolerances are fixed once: 1e-12
 for algebraic identities, 1e-8 for stepped-versus-exact propagators.
 :func:`expm_hermitian` serves the dephasing blocks and the general
 time-ordered oracle; every chain propagator is a closed-form star step,
-and the Kronecker product serves only the spin operators built at import.
+and no path builds a Kronecker product: the chain operators are written
+directly on their S_z stars (``spin_chain``).
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ from .errors import NonHermitianInput, NonUnitaryInput
 CMatrix = np.ndarray
 
 HERMITIAN_TOL = 1e-12
-
-
-def as_cmatrix(m) -> CMatrix:
-    """Coerce to a 2-D complex128 array."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    return a
 
 
 def dagger(m: CMatrix) -> CMatrix:
@@ -60,11 +53,6 @@ def require_unitary(u: CMatrix, what: str, tol: float) -> None:
             f"{what} has non-finite entries" if not np.isfinite(u).all()
             else f"{what} deviates from unitarity by {defect:.3e}"
         )
-
-
-def kron(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Kronecker product; block (i, j) of the result equals a[i, j] * b."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
 
 
 def expm_hermitian(h: CMatrix, scale: float) -> CMatrix:

@@ -8,7 +8,8 @@ would realize on the clean chain.  Fidelity is the process fidelity
 over the Kraus operators restricted to the ancilla-|0> register block; for
 a plain (possibly leaky) gate this is ``|tr(V^dag M)|^2 / 16``.  It is
 basis independent, removes global phases, penalizes leakage automatically,
-and reduces to 1 exactly when the realized operation equals the target.
+and reduces to 1 exactly when the realized operation equals the target;
+it is not clipped, so rounding may put it a few ulp above 1.
 The average-gate-fidelity convention can be derived from it as
 ``(d F + 1) / (d + 1)``.
 
@@ -55,16 +56,16 @@ from .gates import EXTRACT_UNITARY_TOL, RegisterGate, analytic_entangler, extrac
 from .linalg import CMatrix, expm_hermitian, require_unitary, unitarity_defect
 from .propagation import (
     PulsePlan,
-    _embed_stars,
     _midpoint_samples,
     _require_cyclic,
-    _star_couplings,
     propagator_closed_form,
     pulse_area,
     star_product,
 )
 from .spin_chain import (
     ExchangeCouplings,
+    _embed_stars,
+    _star_couplings,
     arm_hamiltonians,
     build_hamiltonians,
     couplings_to_polar,
@@ -176,6 +177,9 @@ def process_fidelity(
 ) -> float:
     """Process fidelity of a realized operation against a unitary target.
 
+    The value is not clipped: when the operation equals the target up to
+    rounding it may exceed 1 by a few ulp.
+
     Raises
     ------
     NonUnitaryTarget
@@ -203,7 +207,8 @@ def dm_sweep(
     The pulse is calibrated for the XY-only couplings; each grid point adds
     a DM term of strength ``D_i = sqrt(j1^2 + j2^2) / d_i`` and compares
     the realized gate with the clean XY gate.  Requires ``j1 == j2`` (the
-    maximally entangling working point).
+    maximally entangling working point).  Fidelities are not clipped; a
+    near-clean point may read a few ulp above 1.
 
     Raises
     ------
@@ -255,6 +260,8 @@ def amplitude_noise_sweep(
     grid points differ only in their offsets, so the envelope is sampled
     once and the grid is stepped as one stack by ``star_product``: the
     product of :func:`propagator_time_ordered`, each step in closed form.
+    Fidelities are not clipped; a near-clean point may read a few ulp
+    above 1.
 
     Raises
     ------
@@ -280,7 +287,7 @@ def amplitude_noise_sweep(
     dt, envelope = _midpoint_samples([pulse.envelope], pulse.duration, steps)
     u = star_product(b1, b2, envelope[:, :, None] + grid_offsets, dt)
     require_unitary(u, "propagator", EXTRACT_UNITARY_TOL)
-    overlap = np.einsum("sp,ksp->k", target.matrix.conj(), _embed_stars(u)[:, :4, :4])
+    overlap = np.einsum("sp,ksp->k", target.matrix.conj(), _embed_stars(u, 1.0)[:, :4, :4])
     grid = (np.abs(overlap) ** 2 / 16.0).reshape(len(ratios1), len(ratios2))
     return SweepTable(
         axis_names=("ratio1", "ratio2"),

@@ -4,8 +4,10 @@ The chain is driven by a common scalar envelope, ``H(t) = envelope(t) * H0``,
 so the propagator depends on time only through the accumulated pulse area
 ``a_t = integral_0^t envelope(s) ds``.  Every chain generator conserves
 total S_z and acts only on the two 3-state stars of ``spin_chain.STARS``,
-where each step has an exact closed form; one evaluation route is built on
-it and one independent oracle is kept:
+where each step has an exact closed form; the star layout itself (which
+chain states form a star, and how to read or embed star blocks) stays in
+``spin_chain``.  One evaluation route is built on the step and one
+independent oracle is kept:
 
 * :func:`propagator_closed_form` is one exact star step of width ``a_t``;
   :func:`star_product` is the midpoint-rule product of such steps for
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import NonCyclicPulse, OutOfRange, ZeroCoupling
 from .linalg import CMatrix, expm_hermitian
-from .spin_chain import STARS, HamiltonianSet
+from .spin_chain import HamiltonianSet, _embed_stars, _star_couplings
 
 #: Standard deviation of the gaussian envelope as a fraction of the duration.
 #: Narrow enough that the clipped tails are negligible at double precision.
@@ -174,9 +176,6 @@ def _require_cyclic(p: PulsePlan, omega: float):
         )
 
 
-_STARS = np.array(STARS)
-
-
 def _star_step(b: np.ndarray, w: float) -> np.ndarray:
     """Exact ``exp(-1j * w * [[0, b^dag], [b, 0]])``, center first.
 
@@ -197,20 +196,6 @@ def _star_step(b: np.ndarray, w: float) -> np.ndarray:
     return step
 
 
-def _star_couplings(h: CMatrix) -> np.ndarray:
-    """Leaf couplings ``h[leaf, center]`` of each star, shape ``(S, 2)``."""
-    return h[_STARS[:, 1:], _STARS[:, :1]]
-
-
-def _embed_stars(u: np.ndarray) -> np.ndarray:
-    """8x8 chain propagators ``(..., 8, 8)`` from their star blocks
-    ``(..., 2, 3, 3)``; ``|000>`` and ``|111>`` are idle."""
-    full = np.zeros(u.shape[:-3] + (8, 8), dtype=np.complex128)
-    full[..., range(8), range(8)] = 1.0
-    full[..., _STARS[:, :, None], _STARS[:, None, :]] = u
-    return full
-
-
 def propagator_closed_form(h: HamiltonianSet, area: float) -> CMatrix:
     """The 8x8 propagator ``exp(-1j * area * h_eff)``, in closed form.
 
@@ -219,7 +204,7 @@ def propagator_closed_form(h: HamiltonianSet, area: float) -> CMatrix:
     that ``h_eff`` holds for each star.
     """
     step = _star_step(_star_couplings(h.h_eff).T, area)
-    return _embed_stars(np.moveaxis(step, (0, 1), (-2, -1)))
+    return _embed_stars(np.moveaxis(step, (0, 1), (-2, -1)), 1.0)
 
 
 Envelope = Callable[[float], float]

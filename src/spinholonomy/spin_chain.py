@@ -13,10 +13,14 @@ With those conventions the chain Hamiltonian is block off-diagonal in the
 ancilla and conserves total S_z: it couples only the centers and leaves of
 the two 3-state "stars" of :data:`STARS`, with the complex couplings
 ``alpha_k = (J_k + i D_k) / 2`` on their arms, so each star's leaf
-couplings ``b`` have norm ``omega = sqrt(|alpha1|^2 + |alpha2|^2)``.  The
-paper's factored form, the exchange matrix ``W`` with its closed-form
-singular value decomposition, is kept in the tests as an independent
-oracle of the propagator.
+couplings ``b`` have norm ``omega = sqrt(|alpha1|^2 + |alpha2|^2)``.  This
+module owns that layout: the unit arm operators are written directly on
+the stars, and :func:`_star_couplings` and :func:`_embed_stars` move
+matrices between the 8x8 chain and the star blocks.  The spin-operator
+construction ``XY = Sx Sx + Sy Sy``, ``DM = Sx Sy - Sy Sx`` from Kronecker
+products, and the paper's factored form, the exchange matrix ``W`` with
+its closed-form singular value decomposition, are kept in the tests as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -27,17 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroCoupling
-from .linalg import CMatrix, kron
-
-_I2 = np.eye(2, dtype=np.complex128)
-_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128) / 2
-_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128) / 2
-_SP = _SX + 1j * _SY  # |0><1|, ancilla raising operator
-
-_SITES = ("a", "1", "2")
-_LOCAL = {"sx": _SX, "sy": _SY, "sz": _SZ, "sp": _SP}
-
+from .linalg import CMatrix
 
 @dataclass(frozen=True)
 class ExchangeCouplings:
@@ -77,14 +71,6 @@ class PolarCouplings:
     phi1: float
     phi2: float
 
-    @property
-    def alpha1(self) -> complex:
-        return self.omega * math.cos(self.theta) * np.exp(1j * self.phi1)
-
-    @property
-    def alpha2(self) -> complex:
-        return self.omega * math.sin(self.theta) * np.exp(1j * self.phi2)
-
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSet:
@@ -98,39 +84,46 @@ class HamiltonianSet:
     h_eff: CMatrix
 
 
-def build_spin_operators() -> dict[str, CMatrix]:
-    """Spin-1/2 operators, both local 2x2 and embedded in the chain.
-
-    Returns a dict with the 2x2 ``sx``, ``sy``, ``sz``, ``sp`` and their
-    8x8 embeddings ``sx_a``, ``sx_1``, ``sx_2`` and so on, under the site
-    order (a, 1, 2): site ``a`` is the leftmost tensor factor.
-    """
-    ops: dict[str, CMatrix] = dict(_LOCAL)
-    for pos, site in enumerate(_SITES):
-        for name, local in _LOCAL.items():
-            factors = [_I2, _I2, _I2]
-            factors[pos] = local
-            ops[f"{name}_{site}"] = kron(kron(factors[0], factors[1]), factors[2])
-    return ops
-
-
-def _coupling_operators() -> list[CMatrix]:
-    """XY ``Sx Sx + Sy Sy`` and DM ``Sx Sy - Sy Sx`` operators of arm 1
-    (sites 1, a), then of arm 2 (sites a, 2)."""
-    ops = build_spin_operators()
-    terms = []
-    for first, second in (("1", "a"), ("a", "2")):
-        sx1, sy1, sx2, sy2 = (ops[f"{n}_{s}"] for s in (first, second) for n in ("sx", "sy"))
-        terms += [sx1 @ sx2 + sy1 @ sy2, sx1 @ sy2 - sy1 @ sx2]
-    return terms
-
-
-# Read-only by convention: arm_hamiltonians only scales and adds these.
-_XY1, _DM1, _XY2, _DM2 = _coupling_operators()
-
 #: (center, arm-1 leaf, arm-2 leaf) of the two S_z sectors the arms act on:
 #: each arm couples only its leaf to the center; |000> and |111> are idle.
 STARS = ((4, 2, 1), (3, 5, 6))
+
+_STARS = np.array(STARS)
+
+
+def _star_couplings(h: CMatrix) -> np.ndarray:
+    """Leaf couplings ``h[leaf, center]`` of each star, shape ``(S, 2)``."""
+    return h[_STARS[:, 1:], _STARS[:, :1]]
+
+
+def _embed_stars(blocks: np.ndarray, fill: float) -> np.ndarray:
+    """8x8 chain matrices ``(..., 8, 8)`` from their star blocks ``(..., 2,
+    3, 3)``, with ``fill`` on the idle ``|000>`` and ``|111>``: 0 for a
+    generator, 1 for a propagator."""
+    full = np.zeros(blocks.shape[:-3] + (8, 8), dtype=np.complex128)
+    full[..., range(8), range(8)] = fill
+    full[..., _STARS[:, :, None], _STARS[:, None, :]] = blocks
+    return full
+
+
+def _arm_operator(leaf: int, b: tuple[complex, complex]) -> CMatrix:
+    """Hermitian operator with ``b[s]`` at (``leaf``, center) of star ``s``."""
+    blocks = np.zeros((2, 3, 3), dtype=np.complex128)
+    blocks[:, leaf, 0] = b
+    blocks[:, 0, leaf] = np.conj(b)
+    return _embed_stars(blocks, 0.0)
+
+
+# XY ``Sx Sx + Sy Sy`` and DM ``Sx Sy - Sy Sx`` of arm 1 (sites 1, a), then
+# of arm 2 (sites a, 2).  ``complex(0, -0.5)`` keeps the real part +0,
+# where the literal ``-0.5j`` would carry -0.  Read-only by convention:
+# arm_hamiltonians only scales and adds these.
+_XY1, _DM1, _XY2, _DM2 = (
+    _arm_operator(1, (0.5, 0.5)),
+    _arm_operator(1, (complex(0, -0.5), 0.5j)),
+    _arm_operator(2, (0.5, 0.5)),
+    _arm_operator(2, (0.5j, complex(0, -0.5))),
+)
 
 
 def couplings_to_polar(c: ExchangeCouplings) -> PolarCouplings:
@@ -152,27 +145,11 @@ def couplings_to_polar(c: ExchangeCouplings) -> PolarCouplings:
     return PolarCouplings(omega=omega, theta=theta, phi1=phi1, phi2=phi2)
 
 
-def polar_to_couplings(p: PolarCouplings) -> ExchangeCouplings:
-    """Inverse of :func:`couplings_to_polar`."""
-    a1, a2 = p.alpha1, p.alpha2
-    return ExchangeCouplings(
-        j1=2 * a1.real, j2=2 * a2.real, d1=2 * a1.imag, d2=2 * a2.imag
-    )
-
-
 def build_hamiltonians(c: ExchangeCouplings) -> HamiltonianSet:
-    """Assemble the chain generator term by term from the embedded spin
-    operators (see :func:`arm_hamiltonians`); all-zero couplings give the
-    zero matrix."""
+    """Assemble the chain generator from the two arm Hamiltonians (see
+    :func:`arm_hamiltonians`); all-zero couplings give the zero matrix."""
     h1, h2 = arm_hamiltonians(c)
     return HamiltonianSet(h_eff=h1 + h2)
-
-
-def ancilla_ground_projector() -> CMatrix:
-    """Projector onto the ancilla-|0> subspace (chain indices 0..3)."""
-    p0 = np.zeros((8, 8), dtype=np.complex128)
-    p0[:4, :4] = np.eye(4)
-    return p0
 
 
 def arm_hamiltonians(c: ExchangeCouplings) -> tuple[CMatrix, CMatrix]:
@@ -189,11 +166,8 @@ __all__ = [
     "ExchangeCouplings",
     "PolarCouplings",
     "HamiltonianSet",
-    "build_spin_operators",
     "couplings_to_polar",
-    "polar_to_couplings",
     "build_hamiltonians",
-    "ancilla_ground_projector",
     "arm_hamiltonians",
     "STARS",
 ]

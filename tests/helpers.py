@@ -1,8 +1,9 @@
 """Shared test utilities: seeded random matrices and couplings, the
-paper's factored-exchange-matrix oracle of the chain propagator, the
-plain stepped oracle of the amplitude-noise study, the dense and the
-bit-basis S_z-sector oracles of the hyperfine dephasing study, and the
-one-gate-at-a-time oracles of the stacked invariants."""
+Kronecker-built spin operators that the chain operators are checked
+against, the paper's factored-exchange-matrix oracle of the chain
+propagator, the plain stepped oracle of the amplitude-noise study, the
+dense and the bit-basis S_z-sector oracles of the hyperfine dephasing
+study, and the one-gate-at-a-time oracles of the stacked invariants."""
 
 import itertools
 import math
@@ -34,6 +35,7 @@ _SPIN = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2,
     np.array([[1, 0], [0, -1]], dtype=np.complex128) / 2,
 )
+_SITES = ("a", "1", "2")
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:
@@ -66,6 +68,54 @@ def random_couplings(rng, min_omega: float = 0.1) -> ExchangeCouplings:
 def local_product(rng) -> np.ndarray:
     """Random single-qubit-only two-qubit unitary k1 (x) k2."""
     return np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+
+
+# --- spin operators from Kronecker products: the chain-operator oracle ------
+
+def spin_operators() -> dict[str, np.ndarray]:
+    """Spin-1/2 operators, both local 2x2 and embedded in the chain.
+
+    Returns a dict with the 2x2 ``sx``, ``sy``, ``sz``, ``sp`` (the raising
+    operator ``|0><1|``) and their 8x8 embeddings ``sx_a``, ``sx_1``,
+    ``sx_2`` and so on, under the site order (a, 1, 2): site ``a`` is the
+    leftmost tensor factor.
+    """
+    sx, sy, sz = _SPIN
+    ops = {"sx": sx, "sy": sy, "sz": sz, "sp": sx + 1j * sy}
+    for pos, site in enumerate(_SITES):
+        for name in ("sx", "sy", "sz", "sp"):
+            factors = [_I2, _I2, _I2]
+            factors[pos] = ops[name]
+            ops[f"{name}_{site}"] = reduce(np.kron, factors)
+    return ops
+
+
+def kron_arm_hamiltonians(c: ExchangeCouplings) -> tuple[np.ndarray, np.ndarray]:
+    """``j (Sx Sx + Sy Sy) + d (Sx Sy - Sy Sx)`` of arm 1 (sites 1, a) and
+    of arm 2 (sites a, 2), from the embedded spin operators."""
+    ops = spin_operators()
+    arms = []
+    for (first, second), j, d in ((("1", "a"), c.j1, c.d1), (("a", "2"), c.j2, c.d2)):
+        sx1, sy1, sx2, sy2 = (ops[f"{n}_{s}"] for s in (first, second) for n in ("sx", "sy"))
+        arms.append(j * (sx1 @ sx2 + sy1 @ sy2) + d * (sx1 @ sy2 - sy1 @ sx2))
+    return arms[0], arms[1]
+
+
+def ancilla_ground_projector() -> np.ndarray:
+    """Projector onto the ancilla-|0> subspace (chain indices 0..3)."""
+    p0 = np.zeros((8, 8), dtype=np.complex128)
+    p0[:4, :4] = np.eye(4)
+    return p0
+
+
+def polar_to_couplings(p: PolarCouplings) -> ExchangeCouplings:
+    """Inverse of ``couplings_to_polar``: ``alpha1 = omega e^(i phi1)
+    cos(theta)`` and ``alpha2 = omega e^(i phi2) sin(theta)``."""
+    a1 = p.omega * math.cos(p.theta) * np.exp(1j * p.phi1)
+    a2 = p.omega * math.sin(p.theta) * np.exp(1j * p.phi2)
+    return ExchangeCouplings(
+        j1=2 * a1.real, j2=2 * a2.real, d1=2 * a1.imag, d2=2 * a2.imag
+    )
 
 
 # --- the paper's factored form: the chain propagator oracle -----------------

@@ -1,7 +1,7 @@
 """Write ``ledger.json``: 30-digit references for the CLI's default outputs.
 
 Run by hand, not by the test suite, whenever the inputs of a covered output
-change (about 10 s):
+change (about 11 s):
 
     PYTHONPATH=src python tests/make_ledger.py
 
@@ -14,7 +14,8 @@ Hamiltonian.  ``test_ledger.py`` compares the outputs with them.
 Covered outputs:
 
 * ``gate``: the register block of the default ``gate`` run;
-* ``sweep_dm``: the 225 fidelities of the default ``sweep-dm`` run.
+* ``sweep_dm``: the 225 fidelities of the default ``sweep-dm`` run;
+* ``sweep_noise``: the 100 fidelities of the default ``sweep-noise`` grid.
 """
 
 import json
@@ -89,6 +90,36 @@ def default_gate() -> dict:
     }
 
 
+def default_sweep_noise() -> dict:
+    """The grid as ``amplitude_noise_sweep`` forms it for a square pulse:
+    arm k driven at ``amplitude + amplitude / ratio_k`` over the whole
+    duration, one exponential of the two block-form arms per point."""
+    cfg = RunConfig(command="sweep-noise")
+    c = cfg.couplings()
+    polar = couplings_to_polar(c)
+    pulse = solve_cyclic(polar.omega, cfg.amplitude, cfg.winding)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
+    arm1 = _generator(ExchangeCouplings(c.j1, 0.0, c.d1, 0.0))
+    arm2 = _generator(ExchangeCouplings(0.0, c.j2, 0.0, c.d2))
+    rows = []
+    for r1 in cfg.ratios1:
+        row = []
+        for r2 in cfg.ratios2:
+            e1, e2 = pulse.amplitude + pulse.amplitude / r1, pulse.amplitude + pulse.amplitude / r2
+            h = mp.mpf(e1) * arm1 + mp.mpf(e2) * arm2
+            u = mp.expm(-1j * mp.mpf(pulse.duration) * h)
+            row.append(_digits(fidelity(target, u[0:4, 0:4])))
+        rows.append(row)
+    return {
+        "couplings": [c.j1, c.j2, c.d1, c.d2],
+        "amplitude": pulse.amplitude,
+        "duration": pulse.duration,
+        "ratios1": list(cfg.ratios1),
+        "ratios2": list(cfg.ratios2),
+        "fidelity": rows,
+    }
+
+
 def default_sweep_dm() -> dict:
     """The grid as ``dm_sweep`` forms it: DM strengths ``hypot(j1, j2) / d``
     on a pulse calibrated for the XY-only couplings."""
@@ -117,7 +148,12 @@ def default_sweep_dm() -> dict:
 
 def main() -> None:
     with mp.workdps(DIGITS + 10):
-        ledger = {"digits": DIGITS, "gate": default_gate(), "sweep_dm": default_sweep_dm()}
+        ledger = {
+            "digits": DIGITS,
+            "gate": default_gate(),
+            "sweep_dm": default_sweep_dm(),
+            "sweep_noise": default_sweep_noise(),
+        }
     # One line per innermost list keeps the file short and its diffs readable.
     text = re.sub(
         r"\[\s+([^][{}]*?)\s+\]",

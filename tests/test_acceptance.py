@@ -15,13 +15,12 @@ import time
 
 import numpy as np
 
-from helpers import random_couplings
+from helpers import ancilla_ground_projector, random_couplings
 from spinholonomy import (
     ExchangeCouplings,
     HyperfineBath,
     amplitude_noise_sweep,
     analytic_entangler,
-    ancilla_ground_projector,
     build_hamiltonians,
     couplings_to_polar,
     dephasing_sweep,

@@ -1,5 +1,5 @@
 """The package imports and runs on numpy and the standard library alone,
-and after import no runtime path builds a Kronecker product."""
+and no path, import included, builds a Kronecker product."""
 
 import math
 import os
@@ -13,13 +13,21 @@ import numpy as np
 import spinholonomy as sh
 from spinholonomy.cli import main
 
-# Runs in a fresh interpreter, where every scipy import is refused before
-# spinholonomy is imported; exits non-zero on any failure.
+# Runs in a fresh interpreter, where every scipy import and every
+# numpy.kron call are refused before spinholonomy is imported; exits
+# non-zero on any failure.
 NO_SCIPY_SCRIPT = textwrap.dedent(
     """
     import importlib.abc
     import math
     import sys
+
+    import numpy
+
+    def refuse_kron(*args, **kwargs):
+        raise AssertionError("numpy.kron called")
+
+    numpy.kron = refuse_kron
 
     class RefuseScipy(importlib.abc.MetaPathFinder):
         def find_spec(self, name, path=None, target=None):
@@ -74,8 +82,9 @@ def test_runs_without_scipy(tmp_path):
 
 
 def test_no_runtime_path_builds_a_kronecker_product(tmp_path, monkeypatch):
-    # The spin operators are built once at import; after that every chain
-    # propagator is a star step and the bath works on multiplet blocks.
+    # The import builds no Kronecker product either (NO_SCIPY_SCRIPT): the
+    # chain operators are written on their stars, every chain propagator is
+    # a star step and the bath works on multiplet blocks.
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.kron called on a runtime path")
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_couplings
+from helpers import polar_to_couplings, random_couplings
 from spinholonomy import (
     NonUnitaryInput,
     analytic_entangler,
     build_hamiltonians,
     couplings_to_polar,
     extract_register_gate,
-    polar_to_couplings,
     propagator_closed_form,
     pulse_area,
     solve_cyclic,

@@ -2,35 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import exchange_matrix, random_matrix
-from spinholonomy import ExchangeCouplings, NonHermitianInput, expm_hermitian, kron
+from spinholonomy import ExchangeCouplings, NonHermitianInput, expm_hermitian
 from spinholonomy.linalg import max_abs, unitarity_defect
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-# --- kron -------------------------------------------------------------
-
-def test_kron_identity():
-    assert max_abs(kron(np.eye(2), np.eye(2)) - np.eye(4)) == 0
-
-
-def test_kron_diagonal():
-    got = kron(np.diag([1.0, 2.0]), np.eye(2))
-    assert max_abs(got - np.diag([1.0, 1.0, 2.0, 2.0])) == 0
-
-
-def test_kron_sigma_x_pair_flips_00_to_11():
-    # Hand expansion of the 4x4 product: (sx (x) sx) |00> = |11>.
-    state00 = np.array([1, 0, 0, 0], dtype=complex)
-    state11 = np.array([0, 0, 0, 1], dtype=complex)
-    assert max_abs(kron(SX, SX) @ state00 - state11) == 0
-
-
-def test_kron_associative(rng):
-    for _ in range(50):
-        a, b, c = (random_matrix(rng, 2) for _ in range(3))
-        assert max_abs(kron(kron(a, b), c) - kron(a, kron(b, c))) <= 1e-14
 
 
 # --- expm_hermitian ---------------------------------------------------

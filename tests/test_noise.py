@@ -1,7 +1,9 @@
+import json
 import math
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from spinholonomy import (
     extract_register_gate,
     gaussian_pulse,
     hyperfine_channel,
-    polar_to_couplings,
     process_fidelity,
     propagator_closed_form,
     propagator_time_ordered,
@@ -43,6 +44,8 @@ from helpers import (
     dense_dephasing_fidelity,
     dense_hyperfine_kraus,
     dense_pulse_generator,
+    polar_to_couplings,
+    random_couplings,
     sector_dephasing_fidelity,
     stepped_amplitude_fidelity,
     symmetric_couplings,
@@ -118,6 +121,24 @@ def test_fidelity_rejects_leaky_target(rng):
     leaky = extract_register_gate(u)
     with pytest.raises(NonUnitaryTarget):
         process_fidelity(leaky, leaky)
+
+
+def test_sweep_fidelity_exceeds_one_by_at_most_a_few_ulp(rng):
+    # F is not clipped: near-clean points may read a few ulp above 1 (up to
+    # 4 eps measured), never more than 8 eps.
+    bound = 1.0 + 8 * np.finfo(float).eps
+    for _ in range(20):
+        j = float(rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
+        omega = couplings_to_polar(ExchangeCouplings(j, j)).omega
+        pulse = solve_cyclic(omega, float(rng.uniform(0.3, 2.0)), int(rng.integers(0, 3)))
+        ratios = 10.0 ** rng.uniform(6.0, 16.0, size=(2, 3))
+        assert dm_sweep(j, j, ratios[0], ratios[1], pulse).fidelity.max() <= bound
+        c = random_couplings(rng)
+        omega = couplings_to_polar(c).omega
+        pulse = solve_cyclic(omega, float(rng.uniform(0.3, 2.0)), int(rng.integers(0, 3)))
+        ratios = [[math.inf, *rng.uniform(5.0, 1e6, size=2)] for _ in range(2)]
+        table = amplitude_noise_sweep(c, ratios[0], ratios[1], pulse, steps=20)
+        assert table.fidelity.max() <= bound
 
 
 # --- DM perturbation sweep ----------------------------------------------
@@ -265,34 +286,37 @@ def test_amplitude_sweep_huge_finite_offset_stays_finite():
 
 def test_amplitude_sweep_default_grid_against_mpmath():
     # The default sweep-noise grid is one square step of the whole pulse
-    # per point.  A 30-digit expm of the full 8x8 generator is the
-    # reference; the closed form is nearer to it than the earlier route of
-    # one eigh step raised to the 200th power.
+    # per point.  The 30-digit expm of the full 8x8 generator in
+    # ledger.json (make_ledger.py) is the reference; the closed form is
+    # nearer to it than the earlier route of one eigh step raised to the
+    # 200th power.
     mpmath = pytest.importorskip("mpmath")
     from spinholonomy.cli import RunConfig
 
+    ledger = json.loads((Path(__file__).resolve().parent / "ledger.json").read_text())
+    ref = ledger["sweep_noise"]
     cfg = RunConfig(command="sweep-noise")
     couplings = cfg.couplings()
     polar = couplings_to_polar(couplings)
     pulse = solve_cyclic(polar.omega, cfg.amplitude, cfg.winding)
+    assert ref["couplings"] == [couplings.j1, couplings.j2, couplings.d1, couplings.d2]
+    assert (ref["amplitude"], ref["duration"]) == (pulse.amplitude, pulse.duration)
+    assert (ref["ratios1"], ref["ratios2"]) == (list(cfg.ratios1), list(cfg.ratios2))
     table = amplitude_noise_sweep(couplings, cfg.ratios1, cfg.ratios2, pulse, cfg.steps)
     target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
     h1, h2 = arm_hamiltonians(couplings)
     dt = pulse.duration / cfg.steps
     new_err = old_err = 0.0
-    with mpmath.workdps(30):
-        v = mpmath.matrix(target.conj().tolist())
+    with mpmath.workdps(ledger["digits"]):
         for i, r1 in enumerate(cfg.ratios1):
             for k, r2 in enumerate(cfg.ratios2):
+                want = mpmath.mpf(ref["fidelity"][i][k])
                 h = (pulse.amplitude + pulse.amplitude / r1) * h1
                 h = h + (pulse.amplitude + pulse.amplitude / r2) * h2
-                u = mpmath.expm(-1j * mpmath.mpf(pulse.duration) * mpmath.matrix(h.tolist()))
-                overlap = mpmath.fsum(v[s, q] * u[s, q] for s in range(4) for q in range(4))
-                want = abs(overlap) ** 2 / 16
                 old = np.linalg.matrix_power(expm_hermitian(h, dt), cfg.steps)[:4, :4]
                 old_f = abs(np.sum(target.conj() * old)) ** 2 / 16
-                new_err = max(new_err, abs(float(table.fidelity[i, k] - want)))
-                old_err = max(old_err, abs(float(old_f - want)))
+                new_err = max(new_err, abs(float(mpmath.mpf(table.fidelity[i, k]) - want)))
+                old_err = max(old_err, abs(float(mpmath.mpf(old_f) - want)))
     assert new_err <= 1e-14
     assert new_err < old_err
 

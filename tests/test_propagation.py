@@ -26,7 +26,7 @@ from spinholonomy import (
 )
 from spinholonomy.linalg import max_abs, unitarity_defect
 from spinholonomy.propagation import star_product
-from spinholonomy.spin_chain import STARS
+from spinholonomy.spin_chain import _embed_stars, _star_couplings
 
 
 def random_tabulated(rng, duration, nodes=16):
@@ -246,13 +246,12 @@ def test_star_step_equals_expm(b1, b2, c, w):
 def test_cyclic_square_pulse_is_the_star_reflection(rng):
     # At r * area = pi each star is diag(-1, 1 - 2 b^ b^dag), and the
     # ancilla-|0> block of the embedded stars is the holonomic gate.
-    stars = np.array(STARS)
     for _ in range(20):
         c = random_couplings(rng)
         polar = couplings_to_polar(c)
         p = solve_cyclic(polar.omega, float(rng.uniform(0.3, 2.0)), int(rng.integers(0, 3)))
         h1, h2 = arm_hamiltonians(c)
-        b1, b2 = h1[stars[:, 1:], stars[:, :1]], h2[stars[:, 1:], stars[:, :1]]
+        b1, b2 = _star_couplings(h1), _star_couplings(h2)
         u = star_product(b1, b2, np.full((200, 1, 2), p.amplitude), p.duration / 200)[0]
         for s in range(2):
             b_hat = (b1[s] + b2[s]) / np.linalg.norm(b1[s] + b2[s])
@@ -260,8 +259,7 @@ def test_cyclic_square_pulse_is_the_star_reflection(rng):
             want[0, 0] = -1.0
             want[1:, 1:] -= 2 * np.outer(b_hat, b_hat.conj())
             assert max_abs(u[s] - want) <= 1e-14
-        full = np.eye(8, dtype=complex)
-        full[stars[:, :, None], stars[:, None, :]] = u
+        full = _embed_stars(u, 1.0)
         gate = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
         assert max_abs(full[:4, :4] - gate) <= 1e-14
 

@@ -2,24 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import closed_form_factors, exchange_matrix, polar_or_zero, random_couplings
+from helpers import (
+    ancilla_ground_projector,
+    closed_form_factors,
+    exchange_matrix,
+    kron_arm_hamiltonians,
+    polar_or_zero,
+    polar_to_couplings,
+    random_couplings,
+    spin_operators,
+)
 from spinholonomy import (
     ExchangeCouplings,
     ZeroCoupling,
-    ancilla_ground_projector,
     arm_hamiltonians,
     build_hamiltonians,
-    build_spin_operators,
     couplings_to_polar,
-    polar_to_couplings,
 )
 from spinholonomy.linalg import hermiticity_defect, max_abs, unitarity_defect
-from spinholonomy.spin_chain import STARS
+from spinholonomy.spin_chain import STARS, _embed_stars, _star_couplings
 
 
 def test_raising_operator_action():
-    ops = build_spin_operators()
+    ops = spin_operators()
     up = np.array([1, 0], dtype=complex)
     down = np.array([0, 1], dtype=complex)
     assert max_abs(ops["sp"] @ down - up) == 0  # S+|1> = |0>
@@ -27,7 +35,7 @@ def test_raising_operator_action():
 
 
 def test_site_embedding_order():
-    ops = build_spin_operators()
+    ops = spin_operators()
     # ancilla is the leftmost factor
     assert max_abs(ops["sx_a"] - np.kron(ops["sx"], np.eye(4))) == 0
     assert max_abs(ops["sx_2"] - np.kron(np.eye(4), ops["sx"])) == 0
@@ -86,7 +94,7 @@ def test_block_structure_and_projector(rng):
 
 
 def test_h_eff_equals_block_form(rng):
-    ops = build_spin_operators()
+    ops = spin_operators()
     for _ in range(200):
         c = random_couplings(rng, min_omega=0.0)
         w = exchange_matrix(c)
@@ -120,6 +128,17 @@ def test_arm_hamiltonians_sum_to_h_eff(rng):
         assert max_abs(h1 + h2 - build_hamiltonians(c).h_eff) <= 1e-14
 
 
+COUPLING = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.builds(ExchangeCouplings, COUPLING, COUPLING, COUPLING, COUPLING))
+def test_arm_hamiltonians_equal_kron_built_spin_operators(c):
+    # The arm operators are written on the stars; the Kronecker-built
+    # j (Sx Sx + Sy Sy) + d (Sx Sy - Sy Sx) of each arm is the oracle.
+    for got, want in zip(arm_hamiltonians(c), kron_arm_hamiltonians(c)):
+        assert max_abs(got - want) == 0
+
+
 def test_arm_hamiltonians_vanish_outside_the_stars(rng):
     # Arm k couples only its leaf to the center of each star: every other
     # entry, the diagonal and |000>, |111> included, is exactly zero.
@@ -131,6 +150,22 @@ def test_arm_hamiltonians_vanish_outside_the_stars(rng):
                 inside[star[arm], star[0]] = inside[star[0], star[arm]] = True
             assert np.all(h[~inside] == 0)
             assert hermiticity_defect(h) == 0
+
+
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_embed_stars_round_trip(rng, fill):
+    # Star blocks land on the STARS entries, the idle |000> and |111> get
+    # the fill, and the leaf couplings read back as the blocks' first column.
+    blocks = rng.standard_normal((5, 2, 3, 3)) + 1j * rng.standard_normal((5, 2, 3, 3))
+    full = _embed_stars(blocks, fill)
+    for k in range(5):
+        assert np.array_equal(_star_couplings(full[k]), blocks[k, :, 1:, 0])
+        for s, star in enumerate(STARS):
+            assert np.array_equal(full[k][np.ix_(star, star)], blocks[k, s])
+        inside = np.zeros((8, 8), dtype=bool)
+        for star in STARS:
+            inside[np.ix_(star, star)] = True
+        assert np.array_equal(full[k][~inside], fill * np.eye(8)[~inside])
 
 
 def test_zero_couplings_give_zero_hamiltonian():
