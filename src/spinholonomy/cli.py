@@ -10,11 +10,17 @@ key (so a typo or a setting that would change nothing fails loudly), and
 fix what the ``<out>.config.json`` sidecar records.  Every sweep writes
 its CSV, sidecar and optional JSON or SVG through one emitter.  Exit
 codes: 0 success, 2 config/parse error, 3 numerical precondition failure.
+
+:func:`main` may be called repeatedly in one process.  The parser is
+built on the first call and reused; parsing leaves no state in it, so a
+call that fails (even through argparse's own exit) does not change the
+next one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,8 +31,8 @@ import numpy as np
 
 from . import reports
 from .errors import ConfigError, ParseError, SpinHolonomyError
-from .gates import analytic_entangler, extract_register_gate
-from .invariants import gate_metrics
+from .gates import _entangler_matrices, analytic_entangler, extract_register_gate
+from .invariants import _metric_columns, gate_metrics
 from .linalg import max_abs
 from .noise import (
     DEFAULT_DIM_CAP,
@@ -277,14 +283,12 @@ def _emit_sweep(cfg: RunConfig, header, rows, axes, values, labels) -> int:
 
 def cmd_sweep_theta(cfg: RunConfig) -> int:
     thetas = np.linspace(0.0, math.pi / 4, cfg.grid).tolist()
-    gates = np.array([analytic_entangler(theta).matrix for theta in thetas])
-    metrics = gate_metrics(gates)
+    g1, g2, weyl, eps, classes = _metric_columns(_entangler_matrices(thetas))
     rows = [
-        (theta, m.ep, m.g1.real, m.g1.imag, m.g2, *m.weyl, m.entangler_class)
-        for theta, m in zip(thetas, metrics)
+        (theta, ep, z.real, z.imag, b, *w, cls)
+        for theta, ep, z, b, w, cls in zip(thetas, eps, g1, g2, weyl, classes)
     ]
     header = ["theta", "ep", "g1_re", "g1_im", "g2", "c1", "c2", "c3", "class"]
-    eps = [m.ep for m in metrics]
     return _emit_sweep(cfg, header, rows, (thetas,), eps, ("θ", "entangling power"))
 
 
@@ -381,7 +385,9 @@ _ARGUMENTS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="spinholonomy",
         description="Holonomic two-qubit entangler simulation and sweeps",

@@ -57,20 +57,31 @@ def extract_register_gate(u_full: CMatrix) -> RegisterGate:
     return RegisterGate(matrix=block, leakage=max(0.0, 1.0 - smin * smin))
 
 
+def _entangler_matrices(thetas, phi1: float = 0.0, phi2: float = 0.0) -> np.ndarray:
+    """The ``(len(thetas), 4, 4)`` stack of exact register gates for the
+    angles ``thetas`` and one phase pair, built in one pass.
+
+    Each cosine and sine comes from ``math``, one angle at a time: numpy's
+    vectorized cos may round differently in the last bit.  Member ``i`` is
+    bit for bit ``analytic_entangler(thetas[i], phi1, phi2).matrix``, signed
+    zeros included.
+    """
+    c = np.array([math.cos(2 * theta) for theta in thetas])
+    s = np.array([math.sin(2 * theta) for theta in thetas])
+    e = np.exp(1j * (phi1 + phi2))
+    stack = np.zeros((len(c), 4, 4), dtype=np.complex128)
+    stack[:, 0, 0] = 1
+    stack[:, 1, 1] = c
+    stack[:, 1, 2] = -e * s
+    stack[:, 2, 1] = -np.conj(e) * s
+    stack[:, 2, 2] = -c
+    stack[:, 3, 3] = -1
+    return stack
+
+
 def analytic_entangler(theta: float, phi1: float = 0.0, phi2: float = 0.0) -> RegisterGate:
     """The exact register gate for coupling angles (theta, phi1, phi2)."""
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    e = np.exp(1j * (phi1 + phi2))
-    matrix = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, c, -e * s, 0],
-            [0, -np.conj(e) * s, -c, 0],
-            [0, 0, 0, -1],
-        ],
-        dtype=np.complex128,
-    )
-    return RegisterGate(matrix=matrix, leakage=0.0)
+    return RegisterGate(matrix=_entangler_matrices((theta,), phi1, phi2)[0], leakage=0.0)
 
 
 __all__ = ["RegisterGate", "extract_register_gate", "analytic_entangler"]

@@ -24,6 +24,10 @@ CNOT class, a perfect but not special entangler.  Entangling power is
 The invariants, the coordinates and :func:`gate_metrics` take one 4x4
 gate or a ``(P, 4, 4)`` stack; a single gate is the ``P = 1`` case of the
 same stacked evaluation, so a whole sweep costs a few LAPACK calls.
+Stacked metrics and sweep rows come from one columnar pass,
+``_metric_columns``: :func:`gate_metrics` wraps its columns into
+:class:`GateMetrics`, and the ``sweep-theta`` command zips its CSV rows
+from them directly.
 """
 
 from __future__ import annotations
@@ -282,37 +286,49 @@ def classify_entangler(weyl):
     return classes[0] if points.ndim == 1 else classes
 
 
-#: Members per stacked pass of :func:`gate_metrics`; it bounds the
+#: Members per stacked pass of :func:`_metric_columns`; it bounds the
 #: temporaries of a long sweep (a 1001-point sweep in one pass peaked
 #: 1.5 MiB higher in resident memory than in passes of 128).
 _CHUNK = 128
+
+
+def _metric_columns(u: CMatrix):
+    """The metrics of a gate or a ``(P, 4, 4)`` stack as columns: G1
+    (complex) and G2 lists, the ``(P, 3)`` Weyl list, and the ep and class
+    lists.
+
+    The stack is checked unitary once, then each pass of 128 members makes
+    one stacked determinant, Gram product, eigenvalue call, orbit search and
+    classification.  This is the one evaluation behind
+    :func:`gate_metrics`; a sweep zips its rows from the columns without
+    building a :class:`GateMetrics` per member.
+    """
+    stack = _require_unitary(u, "gate")
+    g1, g2, weyl, ep, classes = [], [], [], [], []
+    for start in range(0, len(stack), _CHUNK):
+        chunk = stack[start:start + _CHUNK]
+        det = np.linalg.det(chunk)
+        a, b = _makhlin(chunk, det)
+        a, w = a.tolist(), _weyl(chunk, det).tolist()
+        g1 += a
+        g2 += b.tolist()
+        weyl += w
+        ep += [entangling_power(z) for z in a]
+        classes += classify_entangler(w)
+    return g1, g2, weyl, ep, classes
 
 
 def gate_metrics(u: CMatrix):
     """All metrics of a gate, or a list of them for a ``(P, 4, 4)`` stack.
 
     The stack is checked unitary once, then evaluated in passes of 128
-    members: one stacked determinant, Gram product, eigenvalue call,
-    orbit search and classification per pass.  Member ``i`` of the list
-    equals ``gate_metrics(u[i])``.
+    members by :func:`_metric_columns`.  Member ``i`` of the list equals
+    ``gate_metrics(u[i])``.
     """
-    stack = _require_unitary(u, "gate")
-    metrics = []
-    for start in range(0, len(stack), _CHUNK):
-        chunk = stack[start:start + _CHUNK]
-        det = np.linalg.det(chunk)
-        g1, g2 = _makhlin(chunk, det)
-        weyl = _weyl(chunk, det).tolist()
-        metrics += [
-            GateMetrics(
-                g1=complex(a),
-                g2=float(b),
-                weyl=tuple(w),
-                ep=entangling_power(complex(a)),
-                entangler_class=cls,
-            )
-            for a, b, w, cls in zip(g1, g2, weyl, classify_entangler(weyl))
-        ]
+    metrics = [
+        GateMetrics(g1=a, g2=b, weyl=tuple(w), ep=e, entangler_class=cls)
+        for a, b, w, e, cls in zip(*_metric_columns(u))
+    ]
     return metrics[0] if np.ndim(u) == 2 else metrics
 
 

@@ -149,6 +149,9 @@ def solve_cyclic(omega: float, amplitude: float, winding: int = 0) -> PulsePlan:
     ------
     ZeroCoupling
         If ``omega`` is not positive (NaN included).
+    ValueError
+        If the duration ``(2n + 1) pi / (amplitude omega)`` is not a finite
+        positive float (a huge winding, or a vanishing or huge product).
     """
     if not omega > 0:
         raise ZeroCoupling(f"cyclic pulse needs omega > 0, got {omega!r}")
@@ -156,7 +159,16 @@ def solve_cyclic(omega: float, amplitude: float, winding: int = 0) -> PulsePlan:
         raise ValueError(f"pulse amplitude must be positive, got {amplitude!r}")
     if winding < 0:
         raise ValueError("winding must be a non-negative integer")
-    duration = (2 * winding + 1) * math.pi / (amplitude * omega)
+    try:
+        duration = (2 * winding + 1) * math.pi / (amplitude * omega)
+    except OverflowError:
+        duration = math.inf
+    if not 0 < duration < math.inf:
+        raise ValueError(
+            f"cyclic pulse duration (2n+1)*pi/(amplitude*omega) is not a finite "
+            f"positive float for omega={omega!r}, amplitude={amplitude!r}, "
+            f"winding={winding!r}"
+        )
     return square_pulse(amplitude, duration)
 
 

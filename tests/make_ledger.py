@@ -15,7 +15,9 @@ Covered outputs:
 
 * ``gate``: the register block of the default ``gate`` run;
 * ``sweep_dm``: the 225 fidelities of the default ``sweep-dm`` run;
-* ``sweep_noise``: the 100 fidelities of the default ``sweep-noise`` grid.
+* ``sweep_noise``: the 100 fidelities of the default ``sweep-noise`` grid;
+* ``sweep_theta``: criterion 3's closed forms at the 101 angles of the
+  default ``sweep-theta`` grid.
 """
 
 import json
@@ -24,6 +26,7 @@ import re
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 
 from spinholonomy import (
     ExchangeCouplings,
@@ -146,6 +149,22 @@ def default_sweep_dm() -> dict:
     }
 
 
+def default_sweep_theta() -> dict:
+    """Criterion 3's closed forms at the double angles the default grid
+    forms: ``G1 = (1 + cos 4 theta)^2 / 4`` (real), ``G2 = 1 + 2 cos 4 theta``,
+    Weyl ``(2 theta, 2 theta, 0)`` and ``ep = (2/9) (1 - |G1|)``."""
+    cfg = RunConfig(command="sweep-theta")
+    thetas = np.linspace(0.0, math.pi / 4, cfg.grid).tolist()
+    g1 = [(1 + mp.cos(4 * mp.mpf(t))) ** 2 / 4 for t in thetas]
+    return {
+        "theta": thetas,
+        "g1": [_digits(g) for g in g1],
+        "g2": [_digits(1 + 2 * mp.cos(4 * mp.mpf(t))) for t in thetas],
+        "c": [_digits(2 * mp.mpf(t)) for t in thetas],
+        "ep": [_digits(mp.mpf(2) / 9 * (1 - abs(g))) for g in g1],
+    }
+
+
 def main() -> None:
     with mp.workdps(DIGITS + 10):
         ledger = {
@@ -153,6 +172,7 @@ def main() -> None:
             "gate": default_gate(),
             "sweep_dm": default_sweep_dm(),
             "sweep_noise": default_sweep_noise(),
+            "sweep_theta": default_sweep_theta(),
         }
     # One line per innermost list keeps the file short and its diffs readable.
     text = re.sub(

@@ -82,6 +82,22 @@ def test_gate_non_finite_pulse_exits_3(tmp_path, capsys, config, cause):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command", ["gate", "sweep-dm", "sweep-noise"])
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"winding": 1e308}, "winding=1000000000000000010979"),
+        ({"j1": 1e-320, "j2": 1e-320}, "omega=7.07e-321"),
+    ],
+)
+def test_overflowing_cyclic_duration_exits_3(tmp_path, capsys, command, config, named):
+    assert run(tmp_path, command, config) == 3
+    err = capsys.readouterr().err
+    assert "cyclic pulse duration (2n+1)*pi/(amplitude*omega) is not a finite positive" in err
+    assert "omega=" in err and "amplitude=" in err and "winding=" in err and named in err
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_gate_square_duration_exits_2(tmp_path, capsys):
     # The cyclicity condition fixes a square pulse's duration: it is not a setting.
     assert run(tmp_path, "gate", {"duration": 2.0}) == 2
@@ -628,3 +644,49 @@ def test_calibrated_gate_matches_analytic(
     cyclic = (2 * winding + 1) * math.pi
     assert abs(report["pulse"]["area"] * report["polar"]["omega"] - cyclic) <= 1e-9
 
+
+# --- repeated in-process calls ------------------------------------------------
+
+# Every command at a small configuration, with its flag arguments.
+EVERY_COMMAND = [
+    ("gate", {"j1": 0.8, "d2": 0.3, "winding": 1}, []),
+    ("sweep-theta", None, ["--grid", "9"]),
+    ("sweep-dm", {"d1_ratios": [2.0], "d2_ratios": [1.0, 3.0]}, ["--format", "svg"]),
+    ("sweep-noise", {"ratios1": [20.0], "ratios2": [30.0], "steps": 5}, []),
+    ("sweep-dephasing", {"lambdas": [3.0]}, ["--format", "json"]),
+    ("classify", None, []),
+]
+
+
+def _run_every_command(work):
+    files = {}
+    for command, config, extra in EVERY_COMMAND:
+        target = work / command
+        target.mkdir(parents=True, exist_ok=True)
+        if command == "classify":
+            extra = [write_matrix(target, CNOT_ROWS)]
+        assert run(target, command, config, extra) == 0
+        files[command] = {p.name: p.read_bytes() for p in sorted(target.glob("out*"))}
+    return files
+
+
+def test_cached_parser_stays_clean_across_calls(tmp_path, capsys):
+    build_parser.cache_clear()  # the first run below builds a fresh parser
+    clean = _run_every_command(tmp_path)
+    assert build_parser() is build_parser()
+    # A parse that fails part-way, after --format json was consumed, exits
+    # through argparse; then a config error exits through main.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-theta", "--format", "json", "--grid", "nine"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert run(tmp_path, "gate", {"grid": 9}) == 2
+    capsys.readouterr()
+    for command, _, _ in EVERY_COMMAND:
+        for path in (tmp_path / command).glob("out*"):
+            path.unlink()
+    assert _run_every_command(tmp_path) == clean
+    # The sweep-theta run above has no --format flag: only its CSV and sidecar.
+    assert sorted(clean["sweep-theta"]) == ["out.config.json", "out.csv"]

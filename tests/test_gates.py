@@ -16,6 +16,7 @@ from spinholonomy import (
     pulse_area,
     solve_cyclic,
 )
+from spinholonomy.gates import _entangler_matrices
 from spinholonomy.linalg import max_abs, unitarity_defect
 from spinholonomy.spin_chain import PolarCouplings
 
@@ -133,3 +134,27 @@ def test_winding_independence(rng):
         g0 = cyclic_gate(c, winding=0)
         g3 = cyclic_gate(c, winding=3)
         assert max_abs(g0.matrix - g3.matrix) <= 1e-9
+
+
+def _literal_entangler(theta, phi1, phi2):
+    """The closed form as one 4x4 literal of Python scalars: the per-gate
+    reference for the one-pass stack."""
+    c, s = math.cos(2 * theta), math.sin(2 * theta)
+    e = np.exp(1j * (phi1 + phi2))
+    return np.array(
+        [[1, 0, 0, 0], [0, c, -e * s, 0], [0, -np.conj(e) * s, -c, 0], [0, 0, 0, -1]],
+        dtype=np.complex128,
+    )
+
+
+@pytest.mark.parametrize("phases", [(0.0, 0.0), (0.3, -1.1), (math.pi, 0.0)])
+@pytest.mark.parametrize("grid", [2, 101, 1001])
+def test_entangler_stack_is_bit_identical_to_per_gate(grid, phases):
+    # Bit for bit, signed zeros included: numpy's vectorized sin and cos
+    # could differ in the last bit, so the one-pass stack must not use them.
+    thetas = np.linspace(0.0, math.pi / 4, grid).tolist()
+    stack = _entangler_matrices(thetas, *phases)
+    per_gate = np.array([analytic_entangler(t, *phases).matrix for t in thetas])
+    literal = np.array([_literal_entangler(t, *phases) for t in thetas])
+    assert stack.shape == (grid, 4, 4)
+    assert stack.tobytes() == per_gate.tobytes() == literal.tobytes()

@@ -26,7 +26,7 @@ from spinholonomy import (
     makhlin_invariants,
     weyl_coordinates,
 )
-from spinholonomy.invariants import _PE_EQUATIONS, in_perfect_polyhedron
+from spinholonomy.invariants import _PE_EQUATIONS, _metric_columns, in_perfect_polyhedron
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -277,6 +277,39 @@ def test_theta_family_stack_equals_oracle():
     stack = np.array([family_gate(float(t)) for t in thetas])
     for u, m in zip(stack, gate_metrics(stack)):
         assert (m.g1, m.g2, m.weyl, m.ep, m.entangler_class) == gate_metrics_oracle(u)
+
+
+_SQRT_SWAP = np.array(
+    [[2, 0, 0, 0], [0, 1 + 1j, 1 - 1j, 0], [0, 1 - 1j, 1 + 1j, 0], [0, 0, 0, 2]]
+) / 2
+# B = exp(i (pi/4 XX + pi/8 YY)): a rotation by pi/8 on {00, 11} and by
+# 3 pi/8 on {01, 10}.
+_B = np.array(
+    [
+        [math.cos(math.pi / 8), 0, 0, 1j * math.sin(math.pi / 8)],
+        [0, math.cos(3 * math.pi / 8), 1j * math.sin(3 * math.pi / 8), 0],
+        [0, 1j * math.sin(3 * math.pi / 8), math.cos(3 * math.pi / 8), 0],
+        [1j * math.sin(math.pi / 8), 0, 0, math.cos(math.pi / 8)],
+    ]
+)
+NAMED_GATES = [np.eye(4, dtype=complex), CNOT, SWAP, _SQRT_SWAP, _B]
+
+
+@pytest.mark.parametrize("size", [1, 127, 128, 129, 257])
+def test_columnar_rows_equal_per_gate_metrics(size):
+    # Either side of the pass length of 128, with named gates mixed in; repr
+    # tells apart signed zeros and number types that == would not.
+    rng = np.random.default_rng(size)
+    stack = haar_stack(rng, size)
+    slots = rng.choice(size, min(size, len(NAMED_GATES)), replace=False)
+    stack[slots] = NAMED_GATES[: len(slots)]
+    rows = list(zip(*_metric_columns(stack)))
+    assert len(rows) == size
+    for u, (g1, g2, weyl, ep, cls) in zip(stack, rows):
+        m = gate_metrics(u)
+        assert repr((g1, g2, tuple(weyl), ep, cls)) == repr(
+            (m.g1, m.g2, m.weyl, m.ep, m.entangler_class)
+        )
 
 
 @settings(max_examples=25, deadline=None)

@@ -21,6 +21,19 @@ LEDGER = json.loads((Path(__file__).resolve().parent / "ledger.json").read_text(
 #: cos may round differently on another CPU.
 PINNED = {"gate": 4.4e-16 + 2.3e-16, "sweep_dm": 7.2e-16 + 2.3e-16}
 
+#: Worst absolute error per ``sweep-theta`` column, measured, with the same
+#: one-ulp allowance for another CPU's LAPACK.  The references of ``g1_im``
+#: and ``c3`` are 0, and ``c1`` and ``c2`` share the reference 2 theta.
+THETA_PINNED = {
+    "ep": 2.4e-16 + 2.3e-16,
+    "g1_re": 1.1e-15 + 2.3e-16,
+    "g1_im": 0.0 + 2.3e-16,
+    "g2": 3.0e-15 + 2.3e-16,
+    "c1": 2.7e-16 + 2.3e-16,
+    "c2": 4.8e-16 + 2.3e-16,
+    "c3": 2.3e-16 + 2.3e-16,
+}
+
 
 def _worst(mpmath, got, want) -> float:
     return max(float(abs(mpmath.mpf(g) - mpmath.mpf(w))) for g, w in zip(got, want))
@@ -56,3 +69,25 @@ def test_default_sweep_dm_against_ledger(tmp_path):
         err = _worst(mpmath, [f for _, _, f in rows], sum(ref["fidelity"], []))
     print(f"default sweep-dm: worst error {err:.2e} against the 30-digit reference")
     assert err <= PINNED["sweep_dm"]
+
+
+def test_default_sweep_theta_against_ledger(tmp_path):
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["sweep-theta", "--out", str(tmp_path / "theta")]) == 0
+    lines = (tmp_path / "theta.csv").read_text().splitlines()
+    header, *rows = list(csv.reader(lines))
+    ref = LEDGER["sweep_theta"]
+    assert [float(row[0]) for row in rows] == ref["theta"]
+    zero = ["0"] * len(rows)
+    want = {
+        "ep": ref["ep"], "g1_re": ref["g1"], "g1_im": zero, "g2": ref["g2"],
+        "c1": ref["c"], "c2": ref["c"], "c3": zero,
+    }
+    with mpmath.workdps(LEDGER["digits"]):
+        err = {
+            name: _worst(mpmath, [row[header.index(name)] for row in rows], values)
+            for name, values in want.items()
+        }
+    print("default sweep-theta: worst errors " + ", ".join(f"{k} {v:.2e}" for k, v in err.items()))
+    for name, bound in THETA_PINNED.items():
+        assert err[name] <= bound, name

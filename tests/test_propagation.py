@@ -113,6 +113,20 @@ def test_solve_cyclic_rejects_zero_omega():
         solve_cyclic(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "omega, amplitude, winding",
+    [(1.0, 1.0, int(1e308)), (7e-321, 1.0, 0), (1.0, 1e-320, 0), (1e300, 1e300, 0)],
+)
+def test_solve_cyclic_rejects_overflowing_duration(omega, amplitude, winding):
+    # (2n+1) pi / (amplitude omega) overflows to inf (or to an int too large
+    # for a float) or underflows to 0: a ValueError naming all three inputs.
+    with pytest.raises(ValueError, match="not a finite positive float") as info:
+        solve_cyclic(omega, amplitude, winding)
+    message = str(info.value)
+    assert f"omega={omega!r}" in message and f"amplitude={amplitude!r}" in message
+    assert f"winding={winding!r}" in message
+
+
 def test_cyclic_pulse_gives_block_diagonal_propagator(rng):
     c = random_couplings(rng)
     omega = couplings_to_polar(c).omega
