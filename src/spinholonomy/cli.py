@@ -34,14 +34,7 @@ from .errors import ConfigError, ParseError, SpinHolonomyError
 from .gates import _entangler_matrices, analytic_entangler, extract_register_gate
 from .invariants import _metric_columns, gate_metrics
 from .linalg import max_abs
-from .noise import (
-    DEFAULT_DIM_CAP,
-    DEFAULT_STEPS,
-    HyperfineBath,
-    amplitude_noise_sweep,
-    dephasing_sweep,
-    dm_sweep,
-)
+from .noise import DEFAULT_STEPS, HyperfineBath, amplitude_noise_sweep, dephasing_sweep, dm_sweep
 from .propagation import (
     PulsePlan,
     _require_cyclic,
@@ -74,8 +67,6 @@ class RunConfig:
     ratios2: tuple[float, ...] = tuple(float(v) for v in range(10, 101, 10))
     lambdas: tuple[float, ...] = tuple(float(v) for v in range(1, 21))
     nuclei_per_electron: int = 2
-    op_time: float = 1.0
-    dim_cap: int = DEFAULT_DIM_CAP
     matrix: str | None = None
     out: str = "run"
     format: str = "csv"
@@ -89,8 +80,8 @@ class RunConfig:
 _COUPLING_KEYS = ("j1", "j2", "d1", "d2")
 _PULSE_KEY_SHAPE = {"amplitude": "square", "duration": "gaussian", "samples": "tabulated"}
 _PULSE_KEYS = ("shape", "winding", *_PULSE_KEY_SHAPE)
-_FLOAT_KEYS = {"j1", "j2", "d1", "d2", "amplitude", "duration", "op_time"}
-_INT_KEYS = {"winding", "nuclei_per_electron", "dim_cap", "grid", "steps"}
+_FLOAT_KEYS = {"j1", "j2", "d1", "d2", "amplitude", "duration"}
+_INT_KEYS = {"winding", "nuclei_per_electron", "grid", "steps"}
 _LIST_KEYS = {"d1_ratios", "d2_ratios", "ratios1", "ratios2", "lambdas"}
 _STR_KEYS = {"command", "shape", "matrix", "out", "format"}
 
@@ -311,12 +302,9 @@ def cmd_sweep_noise(cfg: RunConfig) -> int:
 
 
 def cmd_sweep_dephasing(cfg: RunConfig) -> int:
-    template = HyperfineBath(
-        total_coupling=0.0,
-        op_time=cfg.op_time,
-        nuclei_per_electron=cfg.nuclei_per_electron,
-    )
-    t = dephasing_sweep(template, cfg.lambdas, cfg.couplings(), dim_cap=cfg.dim_cap)
+    # The fidelity depends on N and lambda alone, so the time unit is 1.
+    template = HyperfineBath(0.0, 1.0, cfg.nuclei_per_electron)
+    t = dephasing_sweep(template, cfg.lambdas, cfg.couplings())
     header = [*t.axis_names, "fidelity"]
     return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("λ", "fidelity"))
 
@@ -371,7 +359,7 @@ COMMANDS = {
     ),
     "sweep-dephasing": (
         cmd_sweep_dephasing,
-        (*_COUPLING_KEYS, "lambdas", "nuclei_per_electron", "op_time", "dim_cap", "format"),
+        (*_COUPLING_KEYS, "lambdas", "nuclei_per_electron", "format"),
     ),
     "classify": (cmd_classify, ("matrix",)),
 }

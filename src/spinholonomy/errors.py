@@ -34,7 +34,7 @@ class NonCyclicPulse(SpinHolonomyError):
 
 
 class DimensionOverflow(SpinHolonomyError):
-    """A system-plus-bath Hilbert space exceeds the configured size cap."""
+    """A dephasing call's estimated memory exceeds the package's budget."""
 
 
 class ConfigError(SpinHolonomyError):

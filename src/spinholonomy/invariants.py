@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonCanonicalInput, NonUnitaryInput
-from .linalg import CMatrix, require_unitary
+from .linalg import CMatrix, max_abs, require_unitary
 
 #: Magic basis change: columns are Bell states up to phases.  Any valid
 #: magic basis yields the same invariants; this fixes one concretely.
@@ -102,11 +102,19 @@ class GateMetrics:
 
 def _require_unitary(u: CMatrix, what: str) -> np.ndarray:
     """``u`` as a contiguous ``(P, 4, 4)`` complex stack, checked unitary
-    within 1e-10 as a whole (the max over its members)."""
+    within 1e-10 as a whole (the max over its members).  Entries that are
+    not finite or exceed modulus 2 (a unitary's are at most 1) are refused
+    before ``u^dag u`` is formed, which they could overflow."""
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
         raise NonUnitaryInput(f"{what} must be 4x4 or a stack of 4x4, got {u.shape}")
     stack = np.ascontiguousarray(u.reshape(-1, 4, 4))
+    largest = max_abs(stack)
+    if not largest <= 2.0:
+        raise NonUnitaryInput(
+            f"{what} has non-finite entries" if not math.isfinite(largest)
+            else f"{what} has an entry of modulus {largest:.3e}; a unitary's are at most 1"
+        )
     require_unitary(stack, what, INVARIANT_UNITARY_TOL)
     return stack
 

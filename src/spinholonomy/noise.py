@@ -38,7 +38,8 @@ through their total spin: the bath splits into multiplet triples, each
 repeated ``m_t`` times, and total S_z is conserved inside each triple.
 One pulse is therefore exactly one exponential per S_z block of the
 triples, and the dephasing sweep and the Kraus channel share that block
-plan; see :func:`dephasing_sweep` and :func:`hyperfine_channel`.
+plan; see :func:`dephasing_sweep` and :func:`hyperfine_channel`, which
+refuse an N whose memory, counted from its block sizes, exceeds the budget.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .spin_chain import (
 
 TARGET_LEAKAGE_TOL = 1e-10
 DEFAULT_STEPS = 200
-DEFAULT_DIM_CAP = 4096
+MEMORY_BUDGET = 2**30  # bytes; a larger estimate is refused (N >= 7)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,11 @@ class HyperfineBath:
 
     ``total_coupling`` is A; every per-nucleus constant is A/N.  The bath
     Hilbert space has dimension 2**(3N) -- 64 for the default N = 2, giving
-    a 512-dimensional chain-plus-bath space.  N must be an ``int`` >= 1.
+    a 512-dimensional chain-plus-bath space, which the dephasing routes never
+    form: they work on its S_z blocks and refuse an N whose estimated memory
+    exceeds ``MEMORY_BUDGET`` (N >= 7).  ``op_time`` is only the time unit,
+    since the gate's dephasing depends on N and lambda alone.  N must be an
+    ``int`` >= 1.
     """
 
     total_coupling: float
@@ -120,8 +125,8 @@ class HyperfineBath:
         Raises
         ------
         ValueError
-            If lambda is not positive, ``op_time`` or N is invalid, or A
-            overflows (``lambda * tau_op`` too small).
+            If lambda is not positive, ``op_time`` or N is invalid, or A or
+            the phase ``A * tau_op = N / lambda`` overflows.
         """
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam!r}")
@@ -133,6 +138,9 @@ class HyperfineBath:
                 f"hyperfine coupling A = N / (lambda * op_time) overflows at "
                 f"lambda = {lam!r}, op_time = {op_time!r}"
             )
+        if math.isinf(nuclei_per_electron / lam):
+            msg = f"the phase A * op_time = N / lambda overflows at lambda = {lam!r}"
+            raise ValueError(msg)
         return cls(total_coupling=a, op_time=op_time, nuclei_per_electron=nuclei_per_electron)
 
 
@@ -213,14 +221,19 @@ def dm_sweep(
     Raises
     ------
     ValueError
-        If a ratio ``d_i`` is not positive (NaN included), before any gate.
+        If a ratio ``d_i`` is not positive (NaN included) or its strength
+        ``D_i`` overflows, before any gate.
     """
     d1_ratios = tuple(float(x) for x in d1_ratios)
     d2_ratios = tuple(float(x) for x in d2_ratios)
+    scale = math.hypot(j1, j2)
     for axis, ratios in (("d1", d1_ratios), ("d2", d2_ratios)):
         for d in ratios:
             if not d > 0:
                 raise ValueError(f"DM ratio {axis} must be positive; got {d!r}")
+            if math.isinf(scale / d):
+                msg = f"DM ratio {axis} {d!r} makes D = sqrt(j1^2 + j2^2) / {axis} overflow"
+                raise ValueError(msg)
     if j1 != j2:
         raise ValueError("dm_sweep targets the symmetric point; need j1 == j2")
     xy = ExchangeCouplings(j1=j1, j2=j2)
@@ -228,7 +241,6 @@ def dm_sweep(
     _require_cyclic(pulse, polar_xy.omega)
     area = pulse_area(pulse, pulse.duration)
     target = analytic_entangler(polar_xy.theta, polar_xy.phi1, polar_xy.phi2)
-    scale = math.hypot(j1, j2)
     values = []
     for d1 in d1_ratios:
         for d2 in d2_ratios:
@@ -266,23 +278,30 @@ def amplitude_noise_sweep(
     Raises
     ------
     ValueError
-        If a ratio is zero or NaN or its offset overflows, before any step.
+        If a ratio is zero or NaN, or its offset's phase over the pulse,
+        ``|delta_i| * duration * max|b_i|`` with ``b_i`` the arm's leaf
+        couplings (the offset's part of the step phase that the star step
+        takes the cosine of), overflows, before any step.
     """
     ratios1 = tuple(float(x) for x in ratios1)
     ratios2 = tuple(float(x) for x in ratios2)
-    offsets = []
-    for axis, ratios in (("ratio1", ratios1), ("ratio2", ratios2)):
-        for r in ratios:
-            if r == 0 or math.isnan(r):
-                raise ValueError(f"{axis} must be nonzero, not NaN (inf: no offset); got {r!r}")
-            if math.isinf(pulse.amplitude / r):
-                raise ValueError(f"{axis} {r!r} makes the offset amplitude / {axis} overflow")
-        offsets.append([pulse.amplitude / r for r in ratios])
     polar = couplings_to_polar(couplings)
     _require_cyclic(pulse, polar.omega)
     target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
     _require_unitary_target(target)
     b1, b2 = (_star_couplings(h) for h in arm_hamiltonians(couplings))
+    offsets = []
+    for axis, ratios, b in (("ratio1", ratios1, b1), ("ratio2", ratios2, b2)):
+        for r in ratios:
+            if r == 0 or math.isnan(r):
+                raise ValueError(f"{axis} must be nonzero, not NaN (inf: no offset); got {r!r}")
+            phase = abs(pulse.amplitude / r) * pulse.duration * float(np.max(np.abs(b)))
+            if not math.isfinite(phase):
+                raise ValueError(
+                    f"{axis} {r!r} makes the offset's phase over the pulse, "
+                    f"|amplitude / {axis}| * duration * |b|, overflow (got {phase!r})"
+                )
+        offsets.append([pulse.amplitude / r for r in ratios])
     grid_offsets = np.array([(a, b) for a in offsets[0] for b in offsets[1]]).reshape(-1, 2)
     dt, envelope = _midpoint_samples([pulse.envelope], pulse.duration, steps)
     u = star_product(b1, b2, envelope[:, :, None] + grid_offsets, dt)
@@ -333,6 +352,36 @@ class _MultipletPlan:
     weight: np.ndarray
 
 
+def _triples(nuclei: int):
+    """Each multiplet triple ``t = (j_a, j_1, j_2)``: twice its j values, its
+    bath dimension ``n_b``, the electron-down bits and twice-m values (2j down)
+    of its states ``c * n_b + mu``, the states stably sorted by S_z, and the S_z block sizes."""
+    for twice_j in itertools.product(range(nuclei % 2, nuclei + 1, 2), repeat=3):
+        sizes = tuple(tj + 1 for tj in twice_j)
+        nb = math.prod(sizes)
+        chain, bath = np.divmod(np.arange(8 * nb), nb)
+        down = (chain[:, None] >> np.array([2, 1, 0])) & 1  # electrons a, 1, 2
+        twice_m = np.array(twice_j) - 2 * np.stack(np.unravel_index(bath, sizes), axis=1)
+        twice_mz = np.sum(1 - 2 * down + twice_m, axis=1)
+        dims = np.unique(twice_mz, return_counts=True)[1]
+        yield twice_j, nb, down, twice_m, np.argsort(twice_mz, kind="stable"), dims
+
+
+@lru_cache(maxsize=None)
+def _estimated_bytes(nuclei: int, channel: bool) -> int:
+    """Bytes a dephasing call needs at N, counted from the block sizes: 128
+    per block entry (plan, drives and exponentials; 60 to 100 measured at
+    N = 1 to 4) and, for the ``channel``, 1 KiB per Kraus operator.  Raises
+    :class:`DimensionOverflow` as soon as the count exceeds ``MEMORY_BUDGET``."""
+    total = 0
+    for _, nb, _, _, _, dims in _triples(nuclei):
+        total += 128 * int(dims @ dims) + channel * 1024 * nb * nb
+        if total > MEMORY_BUDGET:
+            msg = f"N = {nuclei} needs an estimated {total} bytes or more"
+            raise DimensionOverflow(f"{msg}, over the {MEMORY_BUDGET}-byte memory budget")
+    return total
+
+
 @lru_cache(maxsize=None)
 def _multiplet_plan(nuclei: int) -> _MultipletPlan:
     """Block structure of the unit contact term; it depends on N alone.
@@ -342,24 +391,16 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
     nuclei, so each electron's bath splits into spin-j multiplets, ``m_N(j)``
     copies each.  The contact term acts identically on the
     ``m_t = m(j_a) m(j_1) m(j_2)`` copies of each multiplet triple
-    ``t = (j_a, j_1, j_2)`` and conserves the total S_z inside it; the
-    blocks are built from the ladder elements ``sqrt(j(j+1) - m(m+1))``.
-    Multiplet states run from ``m = j`` down, as chain states run from up
-    (bit 0) to down.
+    ``t = (j_a, j_1, j_2)`` (:func:`_triples`) and conserves the total S_z
+    inside it; the blocks are built from the ladder elements
+    ``sqrt(j(j+1) - m(m+1))``.
     """
     by_dim = defaultdict(list)
     weight = []
-    for twice_j in itertools.product(range(nuclei % 2, nuclei + 1, 2), repeat=3):
-        sizes = tuple(tj + 1 for tj in twice_j)
-        nb = math.prod(sizes)
-        strides = (sizes[1] * sizes[2], sizes[2], 1)
-        chain, bath = np.divmod(np.arange(8 * nb), nb)
-        down = (chain[:, None] >> np.array([2, 1, 0])) & 1  # electrons a, 1, 2
-        twice_m = np.array(twice_j) - 2 * np.stack(np.unravel_index(bath, sizes), axis=1)
-        twice_mz = np.sum(1 - 2 * down + twice_m, axis=1)
+    for twice_j, nb, down, twice_m, order, dims in _triples(nuclei):
+        strides = (nb // (twice_j[0] + 1), twice_j[2] + 1, 1)
         offset = len(weight)
-        for mz in np.unique(twice_mz):
-            states = np.flatnonzero(twice_mz == mz)
+        for states in np.split(order, np.cumsum(dims)[:-1]):
             contact = np.diag(np.sum((1 - 2 * down[states]) * twice_m[states], axis=1) / 4.0)
             for l, (tj, stride) in enumerate(zip(twice_j, strides)):
                 # S^- J^+ / 2: electron l up -> down, its multiplet m -> m + 1.
@@ -370,7 +411,7 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
                 contact[rows, cols] = contact[cols, rows] = 0.25 * np.sqrt(
                     (tj - tm) * (tj + tm + 2)
                 )
-            c, mu = chain[states], bath[states]
+            c, mu = np.divmod(states, nb)
             pair = offset + mu[:, None] * nb + mu[None, :]
             by_dim[len(states)].append((contact / nuclei, c, mu, pair))
         weight += [math.prod(_multiplicity(nuclei, tj) for tj in twice_j)] * nb * nb
@@ -391,7 +432,7 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
 
 
 def _pulse_blocks(
-    bath: HyperfineBath, couplings: ExchangeCouplings, dim_cap: int
+    bath: HyperfineBath, couplings: ExchangeCouplings, channel: bool
 ) -> tuple[_MultipletPlan, list[CMatrix]]:
     """The plan for ``bath``'s N and, per block group, the drive blocks.
 
@@ -405,16 +446,12 @@ def _pulse_blocks(
     ValueError
         If a coupling is not finite.
     DimensionOverflow
-        If ``8 * 2**(3N)`` exceeds ``dim_cap``.
+        If N's estimated bytes, Kraus stack too if ``channel``, exceed the budget.
     """
     values = (couplings.j1, couplings.j2, couplings.d1, couplings.d2)
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"exchange couplings must be finite, got {values}")
-    dim = 8 * bath.bath_dim
-    if dim > dim_cap:
-        raise DimensionOverflow(
-            f"chain-plus-bath dimension {dim} exceeds cap {dim_cap}"
-        )
+    _estimated_bytes(bath.nuclei_per_electron, channel)  # refuses an N over the budget
     amplitude = math.pi / (bath.op_time * couplings_to_polar(couplings).omega)
     h0 = amplitude * build_hamiltonians(couplings).h_eff
     plan = _multiplet_plan(bath.nuclei_per_electron)
@@ -429,11 +466,7 @@ def _pulse_blocks(
     return plan, drives
 
 
-def hyperfine_channel(
-    bath: HyperfineBath,
-    couplings: ExchangeCouplings,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> QuantumChannel:
+def hyperfine_channel(bath: HyperfineBath, couplings: ExchangeCouplings) -> QuantumChannel:
     """Operator-sum representation of one gate pulse under the bath.
 
     The chain-plus-bath evolves under
@@ -451,9 +484,9 @@ def hyperfine_channel(
     ValueError
         If a coupling is not finite, before any exponential.
     DimensionOverflow
-        If ``8 * 2**(3N)`` exceeds ``dim_cap``.
+        If N's estimated bytes exceed ``MEMORY_BUDGET`` (N >= 7), before any plan.
     """
-    plan, drives = _pulse_blocks(bath, couplings, dim_cap)
+    plan, drives = _pulse_blocks(bath, couplings, True)
     scale = np.sqrt(plan.weight / bath.bath_dim)
     kraus = np.zeros((len(plan.weight), 8, 8), dtype=np.complex128)
     for g, drive in zip(plan.groups, drives):
@@ -463,10 +496,7 @@ def hyperfine_channel(
 
 
 def dephasing_sweep(
-    bath_template: HyperfineBath,
-    lambdas,
-    couplings: ExchangeCouplings,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    bath_template: HyperfineBath, lambdas, couplings: ExchangeCouplings
 ) -> SweepTable:
     """Fidelity versus the decoherence-to-operation time ratio.
 
@@ -492,7 +522,7 @@ def dephasing_sweep(
         If theta is not pi/4, a lambda is not positive or a coupling is
         not finite, before any exponential.
     DimensionOverflow
-        If ``8 * 2**(3N)`` exceeds ``dim_cap``, before any exponential.
+        If N's estimated bytes exceed ``MEMORY_BUDGET`` (N >= 7), before any plan.
     """
     polar = couplings_to_polar(couplings)
     if not abs(polar.theta - math.pi / 4) <= 1e-9:
@@ -506,7 +536,7 @@ def dephasing_sweep(
     # Only the overall bath coupling A = N / (lambda * tau) varies with
     # lambda; every lambda is checked before any work starts.
     totals = [HyperfineBath.from_ratio(lam, tau, n).total_coupling for lam in lambdas]
-    plan, drives = _pulse_blocks(bath_template, couplings, dim_cap)
+    plan, drives = _pulse_blocks(bath_template, couplings, False)
     pairs = np.concatenate([g.pair.ravel()[g.register] for g in plan.groups])
     weights = np.concatenate([target.conj().ravel()[g.target] for g in plan.groups])
     size = len(plan.weight)
@@ -541,5 +571,5 @@ __all__ = [
     "hyperfine_channel",
     "dephasing_sweep",
     "DEFAULT_STEPS",
-    "DEFAULT_DIM_CAP",
+    "MEMORY_BUDGET",
 ]

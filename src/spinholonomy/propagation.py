@@ -49,7 +49,7 @@ class PulsePlan:
     ``amplitude`` is the constant value for a square pulse and the peak for
     a gaussian; tabulated shapes carry explicit ``samples`` of (time, value)
     pairs that are linearly interpolated.  Durations must be positive and
-    every number finite.
+    every number finite, and a gaussian's width ``duration / 8`` nonzero.
     """
 
     shape: str
@@ -74,6 +74,9 @@ class PulsePlan:
             raise ValueError(
                 f"pulse duration must be positive and finite, got {self.duration!r}"
             )
+        if self.shape == "gaussian" and GAUSSIAN_WIDTH_FRACTION * self.duration == 0:
+            msg = f"gaussian width duration / 8 rounds to 0 at duration {self.duration!r}"
+            raise ValueError(msg)
 
     def envelope(self, t: float) -> float:
         """Instantaneous envelope value at time ``t``."""
@@ -161,7 +164,7 @@ def solve_cyclic(omega: float, amplitude: float, winding: int = 0) -> PulsePlan:
         raise ValueError("winding must be a non-negative integer")
     try:
         duration = (2 * winding + 1) * math.pi / (amplitude * omega)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a huge winding; amplitude * omega underflows
         duration = math.inf
     if not 0 < duration < math.inf:
         raise ValueError(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinholonomy.cli import (
@@ -95,6 +95,14 @@ def test_overflowing_cyclic_duration_exits_3(tmp_path, capsys, command, config, 
     err = capsys.readouterr().err
     assert "cyclic pulse duration (2n+1)*pi/(amplitude*omega) is not a finite positive" in err
     assert "omega=" in err and "amplitude=" in err and "winding=" in err and named in err
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("command", ["gate", "sweep-dm", "sweep-noise"])
+def test_vanishing_gaussian_width_exits_3(tmp_path, capsys, command):
+    # duration / 8 rounds to 0: the pulse is refused where it is built.
+    assert run(tmp_path, command, {"shape": "gaussian", "duration": 5e-324}) == 3
+    assert "gaussian width duration / 8 rounds to 0 at duration 5e-324" in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []
 
 
@@ -336,13 +344,29 @@ def test_sweep_dephasing_nan_lambda_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("config", [{"op_time": 1e-320}, {"lambdas": [1e-320]}])
+@pytest.mark.parametrize("config", [{"lambdas": [5e-324]}, {"lambdas": [1e-320]}])
 def test_sweep_dephasing_coupling_overflow_exits_3(tmp_path, capsys, config):
-    # A = N / (lambda * op_time) overflows: the message names both causes.
+    # A = N / (lambda * op_time) overflows at the CLI's op_time = 1: the
+    # message names both causes.
     assert run(tmp_path, "sweep-dephasing", config) == 3
     err = capsys.readouterr().err
     assert "overflows" in err and "lambda" in err and "op_time" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_dephasing_runs_n4_by_default(tmp_path):
+    # N = 4 fits the memory budget; F(lambda = 10) as computed before the
+    # budget replaced the dimension cap.
+    assert run(tmp_path, "sweep-dephasing", {"nuclei_per_electron": 4, "lambdas": [10.0]}) == 0
+    _, rows = read_csv(tmp_path)
+    assert abs(float(rows[0][1]) - 0.98697468034999059) <= 1e-12
+
+
+def test_sweep_dephasing_over_budget_n_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "sweep-dephasing", {"nuclei_per_electron": 7}) == 3
+    err = capsys.readouterr().err
+    assert "N = 7 needs an estimated " in err and "-byte memory budget" in err
+    assert list(tmp_path.glob("out*")) == []
 
 
 def test_sweep_noise_nan_ratio_exits_3(tmp_path, capsys):
@@ -359,6 +383,18 @@ def test_sweep_noise_overflowing_offset_exits_3(tmp_path, capsys):
         assert run(tmp_path, "sweep-noise", {"ratios1": [1e-310]}) == 3
     err = capsys.readouterr().err
     assert "ratio1 1e-310" in err and "overflow" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_noise_offset_phase_overflow_exits_3(tmp_path, capsys):
+    # The offset amplitude / 1e-160 is finite, but its phase over a pulse of
+    # duration 1e200 is not; it is refused by name, without a numpy warning.
+    config = {"shape": "gaussian", "winding": 1e150, "duration": 1e200, "ratios2": [1e-160]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "sweep-noise", config) == 3
+    err = capsys.readouterr().err
+    assert "ratio2 1e-160 makes the offset's phase over the pulse" in err and "overflow" in err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -415,7 +451,11 @@ def test_steps_flag_sets_sweep_noise_steps(tmp_path):
     assert json.loads((tmp_path / "out.config.json").read_text())["steps"] == 3
 
 
-# A valid value other than the default for every config key.
+# The keys sweep-dephasing read before a memory check replaced its dimension
+# cap and its time unit was fixed; every command now refuses them as unread.
+REMOVED = ("op_time", "dim_cap")
+# A valid value other than the default for every config key, and a value
+# for each removed key.
 NON_DEFAULT = {
     "j1": 1.5,
     "j2": 1.5,
@@ -443,9 +483,14 @@ NON_DEFAULT = {
 OWN_KEY = {"square": "amplitude", "gaussian": "duration", "tabulated": "samples"}
 SHAPE_OF = {key: shape for shape, key in OWN_KEY.items()}
 PULSE_COMMANDS = ["gate", "sweep-dm", "sweep-noise"]
-# (command, key) pairs read for some shape, and those read for no shape.
+# (command, key) pairs read for some shape, and those read for no shape;
+# sweep-dephasing's removed keys come last, so that the other pairs keep
+# their places (and their test ids).
 READ = [(c, k) for c, (_, keys) in COMMANDS.items() for k in keys]
-UNREAD = [(c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in READ]
+DEPHASING_REMOVED = [("sweep-dephasing", k) for k in REMOVED]
+UNREAD = [
+    (c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in READ + DEPHASING_REMOVED
+] + DEPHASING_REMOVED
 # Per shape: the keys of the two other shapes are refused.
 OTHER_SHAPE_KEYS = [
     (shape, command, key)
@@ -458,13 +503,13 @@ OTHER_SHAPE_KEYS = [
 
 def test_key_table_covers_every_setting():
     settable = {f.name for f in fields(RunConfig)} - {"command", "out"}
-    assert set(NON_DEFAULT) == settable
+    assert set(NON_DEFAULT) == settable | set(REMOVED) and not settable & set(REMOVED)
     assert all(k in settable for _, k in READ)
-    assert (len(READ), len(UNREAD)) == (44, 82)
+    assert (len(READ), len(UNREAD)) == (42, 84)
     for shape, own in OWN_KEY.items():
         read = [(c, k) for c in COMMANDS for k in read_keys(c, shape)]
         unread = [(c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in read]
-        assert (len(read), len(unread)) == (38, 88)
+        assert (len(read), len(unread)) == (36, 90)
         for command in PULSE_COMMANDS:
             pulse = set(read_keys(command, shape)) & {"shape", "winding", *OWN_KEY.values()}
             assert pulse == {"shape", "winding", own}
@@ -568,7 +613,6 @@ def test_bad_pulse_config_exits_2(tmp_path, capsys, command, config, field):
         ("sweep-noise", "steps"),
         ("gate", "winding"),
         ("sweep-dephasing", "nuclei_per_electron"),
-        ("sweep-dephasing", "dim_cap"),
     ],
 )
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "1e400"])
@@ -690,3 +734,86 @@ def test_cached_parser_stays_clean_across_calls(tmp_path, capsys):
     assert _run_every_command(tmp_path) == clean
     # The sweep-theta run above has no --format flag: only its CSV and sidecar.
     assert sorted(clean["sweep-theta"]) == ["out.config.json", "out.csv"]
+
+
+# --- every config ends in exit 0, 2 or 3 -------------------------------------
+
+EDGE = [0, -0.0, 5e-324, 1e-320, 1e308, -1e308, 1e200, "Infinity", "NaN"]
+AXES = ("d1_ratios", "d2_ratios", "ratios1", "ratios2", "lambdas")
+# The metric columns that must be finite after exit 0 (axis columns echo inputs).
+METRIC_COLUMNS = {"fidelity", "ep", "g1_re", "g1_im", "g2", "c1", "c2", "c3"}
+
+
+def _edge_value(key):
+    edge = st.sampled_from(EDGE)
+    if key == "nuclei_per_electron":
+        return st.sampled_from([1, 2, 10**6])
+    if key in ("grid", "steps"):  # no more than 50, so that every run stays small
+        return st.integers(-1, 50) | st.sampled_from([-0.0, 5e-324, -1e308, "Infinity", "NaN"])
+    if key in AXES:
+        return st.lists(edge, max_size=3)
+    if key == "samples":
+        return st.lists(st.tuples(edge, edge), max_size=3)
+    if key == "matrix":  # 16 entries for a matrix file, or a value that is no path
+        return st.lists(edge, min_size=16, max_size=16) | edge
+    if key in ("shape", "format"):
+        return st.sampled_from([*OWN_KEY, "csv", "json", "svg", *EDGE])
+    return edge
+
+
+@st.composite
+def edge_configs(draw):
+    """A command, and edge values for a subset of its keys and the removed ones."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    pool = [*COMMANDS[command][1], *REMOVED]
+    keys = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    return command, {key: draw(_edge_value(key)) for key in keys}
+
+
+def _finite_metrics(payload) -> bool:
+    numbers = [payload.get("leakage", 0.0), payload.get("deviation_from_analytic", 0.0)]
+    metrics = payload["metrics"]
+    numbers += [metrics[k] for k in ("g1_re", "g1_im", "g2", "ep")] + metrics["weyl"]
+    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in numbers)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=edge_configs())
+@example(case=("gate", {"shape": "gaussian", "duration": 5e-324}))
+@example(case=("sweep-dm", {"shape": "gaussian", "duration": 5e-324}))
+@example(case=("sweep-noise", {"shape": "gaussian", "duration": 5e-324}))
+@example(case=("sweep-dephasing", {"lambdas": [5e-324], "op_time": 1e200}))
+@example(
+    case=(
+        "sweep-noise",
+        {"shape": "gaussian", "winding": 1e150, "duration": 1e200, "ratios2": [1e-160]},
+    )
+)
+# Found by this test: an overflowing DM strength, an amplitude * omega that
+# underflows to 0, and a matrix entry that overflows u^dag u.
+@example(case=("sweep-dm", {"d1_ratios": [5e-324]}))
+@example(case=("gate", {"amplitude": 5e-324, "j1": 0}))
+@example(case=("classify", {"matrix": [0] * 15 + [1e308]}))
+def test_every_config_exits_0_2_or_3(case):
+    # Warnings are errors: a number that overflows inside the numerics
+    # fails here even if the run would end well.
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        work = Path(tmp)
+        if isinstance(config.get("matrix"), list):
+            rows = [" ".join(str(v) for v in config["matrix"][i : i + 4]) for i in (0, 4, 8, 12)]
+            (work / "gate.txt").write_text("\n".join(rows) + "\n")
+            config = {**config, "matrix": str(work / "gate.txt")}
+        small = {k: [3.0] for k in AXES if k in COMMANDS[command][1] and k not in config}
+        (work / "cfg.json").write_text(json.dumps({**small, **config}))
+        code = main([command, "--config", str(work / "cfg.json"), "--out", str(work / "out")])
+        assert code in (0, 2, 3)
+        if code == 0 and command in ("gate", "classify"):
+            assert _finite_metrics(json.loads((work / "out.json").read_text()))
+        elif code == 0:
+            lines = (work / "out.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            for line in lines[1:]:
+                for name, value in zip(header, line.split(",")):
+                    assert name not in METRIC_COLUMNS or math.isfinite(float(value)), line

@@ -336,7 +336,6 @@ def test_invariants_from_weyl_round_trip(seed):
         assert abs(h1 - a) <= 1e-9 and abs(h2 - b) <= 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_member_rejected(rng, bad):
     stack = haar_stack(rng, 5)

@@ -37,7 +37,7 @@ from spinholonomy import (
     tabulated_pulse,
 )
 from spinholonomy.linalg import hermiticity_defect, max_abs
-from spinholonomy.noise import DEFAULT_DIM_CAP, _multiplet_plan, _pulse_blocks
+from spinholonomy.noise import MEMORY_BUDGET, _estimated_bytes, _multiplet_plan, _pulse_blocks
 
 from helpers import (
     choi_matrix,
@@ -329,17 +329,31 @@ def test_dm_sweep_rejects_bad_ratio_at_entry(no_exponentials, bad):
 
 # --- hyperfine bath -----------------------------------------------------
 
-def test_hyperfine_dimension_cap(no_exponentials):
-    # N = 4 is 8 * 2**12 = 32768 > 4096; N = 3 sits exactly at the default
-    # cap and is allowed (test_sweep_and_channel_match_sector_oracle_at_n3).
-    big = HyperfineBath(total_coupling=1.0, op_time=1.0, nuclei_per_electron=4)
+def test_block_counts_per_n():
+    # Block entries sum G d^2 and Kraus operators (sum_j (2j+1)^2)^3, counted
+    # from N alone: 128 bytes per entry, plus 1 KiB per operator for the channel.
+    for n, entries, kraus in ((2, 11_160, 1_000), (4, 326_292, 42_875), (6, 3_410_912, 592_704)):
+        assert _estimated_bytes(n, False) == 128 * entries
+        assert _estimated_bytes(n, True) == 128 * entries + 1024 * kraus
+    plan = _multiplet_plan(2)
+    assert sum(g.contact.size for g in plan.groups) == 11_160
+    assert len(plan.weight) == 1_000
+
+
+def test_over_budget_n_is_refused_before_the_plan(no_exponentials):
+    # Both routes admit N = 6 (the channel's estimate, the larger, is
+    # 0.97 GiB); N = 7 is the smallest N over the budget.
+    assert _estimated_bytes(6, True) <= MEMORY_BUDGET
     with pytest.raises(DimensionOverflow):
-        dephasing_sweep(big, [5.0], SYM)
-    with pytest.raises(DimensionOverflow):
-        hyperfine_channel(big, SYM)
-    edge = HyperfineBath(total_coupling=1.0, op_time=1.0, nuclei_per_electron=3)
-    with pytest.raises(DimensionOverflow):
-        hyperfine_channel(edge, SYM, dim_cap=4095)
+        _estimated_bytes(7, False)
+    before = _multiplet_plan.cache_info()
+    for n in (7, 10**6):
+        named = rf"N = {n} needs an estimated \d+ bytes or more, over the {MEMORY_BUDGET}-byte"
+        with pytest.raises(DimensionOverflow, match=named):
+            dephasing_sweep(HyperfineBath(0.0, 1.0, n), [5.0], SYM)
+        with pytest.raises(DimensionOverflow, match=named):
+            hyperfine_channel(HyperfineBath.from_ratio(5.0, 1.0, n), SYM)
+    assert _multiplet_plan.cache_info() == before
 
 
 @pytest.mark.parametrize("nuclei", [1.5, 2.0, True])
@@ -354,6 +368,12 @@ def test_bath_coupling_overflow_names_lambda_and_op_time():
     for lam, op_time in ((5.0, 1e-320), (1e-320, 1.0)):
         with pytest.raises(ValueError, match=r"overflows at lambda = .*, op_time = "):
             HyperfineBath.from_ratio(lam, op_time)
+
+
+def test_bath_phase_overflow_is_refused_before_any_exponential(no_exponentials):
+    # A = N / (lambda * tau) = 4e123 is finite; the phase A * tau = N / lambda is not.
+    with pytest.raises(ValueError, match=r"N / lambda overflows at lambda = 5e-324"):
+        dephasing_sweep(HyperfineBath(0.0, 1e200, 2), [5e-324], SYM)
 
 
 def test_bath_ratio_round_trip():
@@ -396,10 +416,24 @@ def test_sweep_rows_are_deterministic():
     assert [r[:2] for r in rows] == [(1.0, 3.0), (1.0, 4.0), (2.0, 3.0), (2.0, 4.0)]
 
 
-def test_dephasing_sweep_respects_dim_cap():
-    bath = HyperfineBath(total_coupling=0.0, op_time=1.0, nuclei_per_electron=2)
-    with pytest.raises(DimensionOverflow):
-        dephasing_sweep(bath, [5.0], SYM, dim_cap=100)
+@pytest.mark.parametrize("nuclei", [1, 2, 3, 4])
+def test_traced_peak_is_within_the_estimate(nuclei):
+    # From a cold plan cache, one sweep point and one channel each allocate
+    # no more than the estimate that admitted them.
+    couplings = symmetric_couplings(1.2, 0.3, -0.2)
+    calls = {
+        False: lambda: dephasing_sweep(HyperfineBath(0.0, 1.0, nuclei), [4.0], couplings),
+        True: lambda: hyperfine_channel(HyperfineBath.from_ratio(4.0, 1.0, nuclei), couplings),
+    }
+    for channel, call in calls.items():
+        _multiplet_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _estimated_bytes(nuclei, channel)
 
 
 # --- multiplet engine against the dense and sector oracles -----------------
@@ -434,7 +468,7 @@ def test_block_spectrum_matches_dense_oracle(nuclei, coupling, scale, phi1, phi2
     # 7e-11 on a block with entries near 1e-87, where eigh stayed at 1e-14.
     couplings = symmetric_couplings(scale, phi1, phi2)
     bath = HyperfineBath(coupling, 1.0, nuclei)
-    plan, drives = _pulse_blocks(bath, couplings, DEFAULT_DIM_CAP)
+    plan, drives = _pulse_blocks(bath, couplings, False)
     spectra = []
     for g, drive in zip(plan.groups, drives):
         assert np.array_equal(g.contact, np.swapaxes(g.contact, 1, 2))
