@@ -1,7 +1,7 @@
 """Write ``ledger.json``: 30-digit references for the CLI's default outputs.
 
 Run by hand, not by the test suite, whenever the inputs of a covered output
-change (about 11 s):
+change (about 90 s):
 
     PYTHONPATH=src python tests/make_ledger.py
 
@@ -17,7 +17,13 @@ Covered outputs:
 * ``sweep_dm``: the 225 fidelities of the default ``sweep-dm`` run;
 * ``sweep_noise``: the 100 fidelities of the default ``sweep-noise`` grid;
 * ``sweep_theta``: criterion 3's closed forms at the 101 angles of the
-  default ``sweep-theta`` grid.
+  default ``sweep-theta`` grid;
+* ``sweep_dephasing``: the 20 fidelities of ``sweep-dephasing`` at N = 1
+  and the default lambdas, for the default couplings and for couplings with
+  DM angles 0.64 and -0.93 at theta = pi/4.  The chain-plus-bath generator
+  is exponentiated on the total-S_z sectors of the bit basis (at most 20
+  states), with the contact term built spin by spin, not from the package's
+  multiplet blocks.
 """
 
 import json
@@ -30,6 +36,7 @@ import numpy as np
 
 from spinholonomy import (
     ExchangeCouplings,
+    HyperfineBath,
     analytic_entangler,
     couplings_to_polar,
     pulse_area,
@@ -165,6 +172,82 @@ def default_sweep_theta() -> dict:
     }
 
 
+#: The ``sweep-dephasing`` cases: N, and the couplings (j1, j2, d1, d2) of
+#: each run.  The second pair has |alpha1| = |alpha2| = 1/2 and DM angles
+#: atan2(0.6, 0.8) = 0.64 and atan2(-0.8, 0.6) = -0.93.
+DEPHASING_NUCLEI = 1
+DEPHASING_COUPLINGS = ((1.0, 1.0, 0.0, 0.0), (0.8, 0.6, 0.6, -0.8))
+
+
+def _sector_generator(h_chain: mp.matrix, a_total, nuclei: int, states: list) -> mp.matrix:
+    """``h_chain (x) 1_bath + (A / N) sum_{l,k} S^(l) . I^(l,k)`` on the
+    bit-basis states ``states`` (one total-S_z sector).
+
+    State ``c * 2**(3N) + b`` is ``|chain c> (x) |bath b>``; of the ``3 + 3N``
+    sites (a, 1, 2, then nucleus k of electron l at ``3 + l N + k``), site
+    ``p`` is bit ``2 + 3N - p``, and a set bit is spin down.  A contact pair
+    adds 1/4 when aligned, -1/4 when opposite, and exchanges opposite spins
+    with 1/2.
+    """
+    bits = 3 * nuclei
+    sites = 3 + bits
+    index = {s: i for i, s in enumerate(states)}
+    per_nucleus = mp.mpf(a_total) / nuclei
+    h = mp.zeros(len(states), len(states))
+    for i, s in enumerate(states):
+        c, b = s >> bits, s & ((1 << bits) - 1)
+        for c2 in range(8):
+            if h_chain[c2, c] != 0:
+                h[index[(c2 << bits) | b], i] += h_chain[c2, c]
+        for l in range(3):
+            for k in range(nuclei):
+                e_bit, n_bit = sites - 1 - l, sites - 4 - l * nuclei - k
+                if ((s >> e_bit) ^ (s >> n_bit)) & 1:
+                    h[i, i] -= per_nucleus / 4
+                    h[index[s ^ ((1 << e_bit) | (1 << n_bit))], i] += per_nucleus / 2
+                else:
+                    h[i, i] += per_nucleus / 4
+    return h
+
+
+def dephasing_fidelity(c: ExchangeCouplings, nuclei: int, lam: float):
+    """One ``sweep-dephasing`` point as the CLI forms its inputs: op_time 1,
+    the drive ``pi / omega``, ``A = N / lambda`` and the double-precision
+    target.  ``F = ||O||^2 / (16 d_b)`` with ``O[j, i] = sum_{s,s'}
+    conj(V[s, s']) <s, j|U|s', i>`` over the sectors' ancilla-|0> entries."""
+    polar = couplings_to_polar(c)
+    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
+    amplitude = math.pi / (1.0 * polar.omega)
+    a_total = HyperfineBath.from_ratio(lam, 1.0, nuclei).total_coupling
+    bits = 3 * nuclei
+    h_chain = mp.mpf(amplitude) * _generator(c)
+    overlap = {}
+    for down in range(4 + bits):
+        states = [s for s in range(8 << bits) if bin(s).count("1") == down]
+        u = mp.expm(-1j * _sector_generator(h_chain, a_total, nuclei, states))
+        for i, s in enumerate(states):
+            for j, t in enumerate(states):
+                if s >> bits < 4 and t >> bits < 4:
+                    key = (t & ((1 << bits) - 1), s & ((1 << bits) - 1))
+                    weight = mp.conj(mp.mpc(complex(target[t >> bits, s >> bits])))
+                    overlap[key] = overlap.get(key, 0) + weight * u[j, i]
+    return mp.fsum(abs(o) ** 2 for o in overlap.values()) / (16 << bits)
+
+
+def sweep_dephasing() -> dict:
+    cfg = RunConfig(command="sweep-dephasing")
+    cases = []
+    for values in DEPHASING_COUPLINGS:
+        c = ExchangeCouplings(*values)
+        fidelity = [_digits(dephasing_fidelity(c, DEPHASING_NUCLEI, lam)) for lam in cfg.lambdas]
+        cases.append({"couplings": list(values), "fidelity": fidelity})
+    return {
+        "nuclei_per_electron": DEPHASING_NUCLEI,
+        "lambdas": list(cfg.lambdas),
+        "cases": cases,
+    }
+
+
 def main() -> None:
     with mp.workdps(DIGITS + 10):
         ledger = {
@@ -173,6 +256,7 @@ def main() -> None:
             "sweep_dm": default_sweep_dm(),
             "sweep_noise": default_sweep_noise(),
             "sweep_theta": default_sweep_theta(),
+            "sweep_dephasing": sweep_dephasing(),
         }
     # One line per innermost list keeps the file short and its diffs readable.
     text = re.sub(

@@ -16,10 +16,16 @@ from spinholonomy.cli import RunConfig, main
 
 LEDGER = json.loads((Path(__file__).resolve().parent / "ledger.json").read_text())
 
-#: Worst absolute error per output: the measured 4.4e-16 (gate) and
-#: 7.2e-16 (sweep) plus one ulp of 1.0, since numpy's vectorized sin and
-#: cos may round differently on another CPU.
-PINNED = {"gate": 4.4e-16 + 2.3e-16, "sweep_dm": 7.2e-16 + 2.3e-16}
+#: Worst absolute error per output: the measured 4.4e-16 (gate), 7.2e-16
+#: (sweep-dm), 4.7e-16 (sweep-noise) and 7.1e-16 (sweep-dephasing, both
+#: cases) plus one ulp of 1.0, since numpy's vectorized sin and cos and
+#: another CPU's LAPACK may round differently.
+PINNED = {
+    "gate": 4.4e-16 + 2.3e-16,
+    "sweep_dm": 7.2e-16 + 2.3e-16,
+    "sweep_noise": 4.7e-16 + 2.3e-16,
+    "sweep_dephasing": 7.1e-16 + 2.3e-16,
+}
 
 #: Worst absolute error per ``sweep-theta`` column, measured, with the same
 #: one-ulp allowance for another CPU's LAPACK.  The references of ``g1_im``
@@ -91,3 +97,38 @@ def test_default_sweep_theta_against_ledger(tmp_path):
     print("default sweep-theta: worst errors " + ", ".join(f"{k} {v:.2e}" for k, v in err.items()))
     for name, bound in THETA_PINNED.items():
         assert err[name] <= bound, name
+
+
+def test_default_sweep_noise_against_ledger(tmp_path):
+    # The default grid is one square step of the whole pulse per point; the
+    # reference exponentiates the block-form generator of each point.
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["sweep-noise", "--out", str(tmp_path / "noise")]) == 0
+    rows = list(csv.reader((tmp_path / "noise.csv").read_text().splitlines()))[1:]
+    ref = LEDGER["sweep_noise"]
+    cfg = RunConfig(command="sweep-noise")
+    c = cfg.couplings()
+    assert ref["couplings"] == [c.j1, c.j2, c.d1, c.d2]
+    want_axes = [(r1, r2) for r1 in ref["ratios1"] for r2 in ref["ratios2"]]
+    assert [(float(r1), float(r2)) for r1, r2, _ in rows] == want_axes
+    with mpmath.workdps(LEDGER["digits"]):
+        err = _worst(mpmath, [f for _, _, f in rows], sum(ref["fidelity"], []))
+    print(f"default sweep-noise: worst error {err:.2e} against the 30-digit reference")
+    assert err <= PINNED["sweep_noise"]
+
+
+@pytest.mark.parametrize("case", range(len(LEDGER["sweep_dephasing"]["cases"])))
+def test_sweep_dephasing_against_ledger(tmp_path, case):
+    mpmath = pytest.importorskip("mpmath")
+    ref = LEDGER["sweep_dephasing"]
+    couplings = dict(zip(("j1", "j2", "d1", "d2"), ref["cases"][case]["couplings"]))
+    config = {**couplings, "nuclei_per_electron": ref["nuclei_per_electron"]}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "dep"
+    assert main(["sweep-dephasing", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    rows = list(csv.reader((tmp_path / "dep.csv").read_text().splitlines()))[1:]
+    assert [float(lam) for lam, _ in rows] == ref["lambdas"] == list(RunConfig.lambdas)
+    with mpmath.workdps(LEDGER["digits"]):
+        err = _worst(mpmath, [f for _, f in rows], ref["cases"][case]["fidelity"])
+    print(f"sweep-dephasing {config}: worst error {err:.2e} against the 30-digit reference")
+    assert err <= PINNED["sweep_dephasing"]

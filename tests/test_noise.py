@@ -1,9 +1,7 @@
-import json
 import math
 import time
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +22,6 @@ from spinholonomy import (
     couplings_to_polar,
     dephasing_sweep,
     dm_sweep,
-    expm_hermitian,
     extract_register_gate,
     gaussian_pulse,
     hyperfine_channel,
@@ -282,43 +279,6 @@ def test_amplitude_sweep_huge_finite_offset_stays_finite():
         warnings.simplefilter("error")
         f = amplitude_noise_sweep(SYM, [1e-200], [10.0], sym_pulse()).fidelity
     assert 0.0 <= f[0, 0] <= 1.0
-
-
-def test_amplitude_sweep_default_grid_against_mpmath():
-    # The default sweep-noise grid is one square step of the whole pulse
-    # per point.  The 30-digit expm of the full 8x8 generator in
-    # ledger.json (make_ledger.py) is the reference; the closed form is
-    # nearer to it than the earlier route of one eigh step raised to the
-    # 200th power.
-    mpmath = pytest.importorskip("mpmath")
-    from spinholonomy.cli import RunConfig
-
-    ledger = json.loads((Path(__file__).resolve().parent / "ledger.json").read_text())
-    ref = ledger["sweep_noise"]
-    cfg = RunConfig(command="sweep-noise")
-    couplings = cfg.couplings()
-    polar = couplings_to_polar(couplings)
-    pulse = solve_cyclic(polar.omega, cfg.amplitude, cfg.winding)
-    assert ref["couplings"] == [couplings.j1, couplings.j2, couplings.d1, couplings.d2]
-    assert (ref["amplitude"], ref["duration"]) == (pulse.amplitude, pulse.duration)
-    assert (ref["ratios1"], ref["ratios2"]) == (list(cfg.ratios1), list(cfg.ratios2))
-    table = amplitude_noise_sweep(couplings, cfg.ratios1, cfg.ratios2, pulse, cfg.steps)
-    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
-    h1, h2 = arm_hamiltonians(couplings)
-    dt = pulse.duration / cfg.steps
-    new_err = old_err = 0.0
-    with mpmath.workdps(ledger["digits"]):
-        for i, r1 in enumerate(cfg.ratios1):
-            for k, r2 in enumerate(cfg.ratios2):
-                want = mpmath.mpf(ref["fidelity"][i][k])
-                h = (pulse.amplitude + pulse.amplitude / r1) * h1
-                h = h + (pulse.amplitude + pulse.amplitude / r2) * h2
-                old = np.linalg.matrix_power(expm_hermitian(h, dt), cfg.steps)[:4, :4]
-                old_f = abs(np.sum(target.conj() * old)) ** 2 / 16
-                new_err = max(new_err, abs(float(mpmath.mpf(table.fidelity[i, k]) - want)))
-                old_err = max(old_err, abs(float(mpmath.mpf(old_f) - want)))
-    assert new_err <= 1e-14
-    assert new_err < old_err
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -2.0])
