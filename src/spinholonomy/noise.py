@@ -40,6 +40,12 @@ One pulse is therefore exactly one exponential per S_z block of the
 triples, and the dephasing sweep and the Kraus channel share that block
 plan; see :func:`dephasing_sweep` and :func:`hyperfine_channel`, which
 refuse an N whose memory, counted from its block sizes, exceeds the budget.
+Two symmetries halve that work.  The z-axis DM term is a gauge on the
+chain (Shekhtman, Entin-Wohlman & Aharony, PRL 69, 836 (1992)): phases on
+the chain states, with the matching rotation of the nuclei, make every
+block real symmetric (:func:`_pulse_blocks`).  And the pi rotation of
+every spin maps the S_z = M block onto the -M block, so only the blocks
+with M >= 0 are exponentiated (:func:`_multiplet_plan`).
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import numpy as np
 
 from .errors import DimensionOverflow, NonUnitaryTarget
 from .gates import EXTRACT_UNITARY_TOL, RegisterGate, analytic_entangler, extract_register_gate
-from .linalg import CMatrix, expm_hermitian, require_unitary, unitarity_defect
+from .linalg import expm_hermitian, require_unitary, unitarity_defect
 from .propagation import (
     PulsePlan,
     _midpoint_samples,
@@ -324,7 +330,8 @@ def _multiplicity(nuclei: int, twice_j: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Blocks:
-    """The total-S_z blocks of one dimension d, stacked: G blocks.
+    """The total-S_z blocks of one dimension d, stacked: G blocks, the
+    ``S_z >= 0`` blocks first and then the ``S_z < 0`` ones.
 
     A block state is ``|chain c> (x) |mu>`` with ``mu`` a state of the
     block's multiplet triple.  ``pair`` numbers the bath pair
@@ -332,15 +339,19 @@ class _Blocks:
     the entries between ancilla-|0> chain states (``c, c' < 4``) sit at
     the flat positions ``register`` of a ``(G, d, d)`` stack, and
     ``target`` is the flat index ``4 c' + c`` of the target entry that
-    weighs each of them.
+    weighs each of them.  ``partner[i]`` is the ``S_z > 0`` block whose
+    states, mapped by the pi rotation (:func:`_multiplet_plan`), are the
+    states of ``S_z < 0`` block ``G - len(partner) + i`` in its order.
     """
 
     contact: np.ndarray  # (G, d, d): blocks of (1/N) sum_l S^(l) . J^(l)
+    arms: np.ndarray  # (2, G, d, d): blocks of the unit XY arms (x) 1_bath
     chain: np.ndarray  # (G, d)
     bath: np.ndarray  # (G, d)
     pair: np.ndarray  # (G, d, d)
     register: np.ndarray
     target: np.ndarray
+    partner: np.ndarray  # (G_-,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,7 +395,8 @@ def _estimated_bytes(nuclei: int, channel: bool) -> int:
 
 @lru_cache(maxsize=None)
 def _multiplet_plan(nuclei: int) -> _MultipletPlan:
-    """Block structure of the unit contact term; it depends on N alone.
+    """Block structure of the unit contact term and of the unit XY arms; it
+    depends on N alone.
 
     With one coupling for every nucleus, ``sum_k S^(l) . I^(l,k) =
     S^(l) . J^(l)`` with ``J^(l)`` the total spin of electron ``l``'s
@@ -394,35 +406,65 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
     ``t = (j_a, j_1, j_2)`` (:func:`_triples`) and conserves the total S_z
     inside it; the blocks are built from the ladder elements
     ``sqrt(j(j+1) - m(m+1))``.
+
+    Pairing: the pi rotation about y of every spin commutes with the contact
+    term and with the XY arms, and maps state ``(c, k)`` of a triple (``k``
+    the multiplet indices, 0 for m = j) to ``(7 - c, 2j - k)``, that is
+    state ``x`` to ``8 n_b - 1 - x``, with the sign
+    ``(-1)^(popcount(c) + sum k)``.  That sign is constant on an S_z block,
+    so it cancels: listing each ``S_z < 0`` block's states as the images
+    of its ``S_z > 0`` partner's makes its blocks equal to the partner's,
+    entry by entry, and so is its propagator.  At odd N the ``S_z = 0``
+    blocks map onto themselves.
     """
-    by_dim = defaultdict(list)
+    unit_arms = [h.real for h in arm_hamiltonians(ExchangeCouplings(1.0, 1.0))]
+    by_dim = defaultdict(lambda: ([], []))  # per d: the S_z >= 0 blocks, the S_z < 0 ones
     weight = []
     for twice_j, nb, down, twice_m, order, dims in _triples(nuclei):
         strides = (nb // (twice_j[0] + 1), twice_j[2] + 1, 1)
         offset = len(weight)
-        for states in np.split(order, np.cumsum(dims)[:-1]):
+        blocks = np.split(order, np.cumsum(dims)[:-1])  # by S_z, symmetric about 0
+        lower = len(blocks) // 2
+        for i in range(lower):
+            blocks[i] = 8 * nb - 1 - blocks[-1 - i]
+        position = np.empty(8 * nb, dtype=np.intp)
+        for states in blocks:
+            position[states] = np.arange(len(states))
+        index = {}
+        for i in (*range(lower, len(blocks)), *range(lower)):
+            states = blocks[i]
             contact = np.diag(np.sum((1 - 2 * down[states]) * twice_m[states], axis=1) / 4.0)
             for l, (tj, stride) in enumerate(zip(twice_j, strides)):
                 # S^- J^+ / 2: electron l up -> down, its multiplet m -> m + 1.
                 up = states[(down[states, l] == 0) & (twice_m[states, l] < tj)]
                 tm = twice_m[up, l]
-                rows = np.searchsorted(states, up + (4 >> l) * nb - stride)
-                cols = np.searchsorted(states, up)
+                rows = position[up + (4 >> l) * nb - stride]
+                cols = position[up]
                 contact[rows, cols] = contact[cols, rows] = 0.25 * np.sqrt(
                     (tj - tm) * (tj + tm + 2)
                 )
             c, mu = np.divmod(states, nb)
-            pair = offset + mu[:, None] * nb + mu[None, :]
-            by_dim[len(states)].append((contact / nuclei, c, mu, pair))
+            same = mu[:, None] == mu[None, :]
+            arms = [np.where(same, arm[c[:, None], c[None, :]], 0.0) for arm in unit_arms]
+            parts = (contact / nuclei, arms, c, mu, offset + mu[:, None] * nb + mu[None, :])
+            upper, mirrored = by_dim[len(states)]
+            if i >= lower:
+                index[i] = len(upper)
+                upper.append(parts)
+            else:
+                mirrored.append((parts, index[len(blocks) - 1 - i]))
         weight += [math.prod(_multiplicity(nuclei, tj) for tj in twice_j)] * nb * nb
 
     groups = []
-    for _, blocks in sorted(by_dim.items()):
-        contact, chain, bath, pair = (np.stack(parts) for parts in zip(*blocks))
+    for _, (upper, mirrored) in sorted(by_dim.items()):
+        stacked = upper + [parts for parts, _ in mirrored]
+        contact, arms, chain, bath, pair = (np.stack(part) for part in zip(*stacked))
+        partner = np.array([index for _, index in mirrored], dtype=np.intp)
         inside = chain < 4
         register = np.flatnonzero(inside[:, :, None] & inside[:, None, :])
         target = (4 * chain[:, :, None] + chain[:, None, :]).ravel()[register]
-        groups.append(_Blocks(contact, chain, bath, pair, register, target))
+        arms = np.ascontiguousarray(np.swapaxes(arms, 0, 1))
+        groups.append(_Blocks(contact, arms, chain, bath, pair, register, target, partner))
     plan = _MultipletPlan(groups=tuple(groups), weight=np.array(weight))
     for group in plan.groups:
         for array in vars(group).values():
@@ -433,12 +475,18 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
 
 def _pulse_blocks(
     bath: HyperfineBath, couplings: ExchangeCouplings, channel: bool
-) -> tuple[_MultipletPlan, list[CMatrix]]:
-    """The plan for ``bath``'s N and, per block group, the drive blocks.
+) -> tuple[_MultipletPlan, list[np.ndarray]]:
+    """The plan for ``bath``'s N and, per block group, the real drive blocks
+    of its ``S_z >= 0`` blocks in the DM-free gauge.
 
     The drive is ``amplitude * H0 (x) 1_bath`` for the square pulse
-    calibrated cyclic over ``bath.op_time``: chain entries between equal
-    bath states.  With the static bath the generator
+    calibrated cyclic over ``bath.op_time``.  With the chain phases
+    ``D(c) = exp(i (phi1 b1(c) - phi2 b2(c)))``, ``b1``, ``b2`` the bits of
+    sites 1 and 2, ``H0 = D^dag H_xy D`` with ``H_xy`` the XY chain of the
+    couplings ``2 |alpha_k|``, and the matching z rotation of the nuclei
+    leaves the contact term unchanged.  The drive blocks in that gauge are
+    ``a1 X1 + a2 X2`` with ``a_k = 2 |alpha_k| * amplitude`` and ``X_k`` the
+    plan's real unit arm blocks.  With the static bath the generator
     ``drive + A * contact`` is constant over the pulse.
 
     Raises
@@ -453,17 +501,24 @@ def _pulse_blocks(
         raise ValueError(f"exchange couplings must be finite, got {values}")
     _estimated_bytes(bath.nuclei_per_electron, channel)  # refuses an N over the budget
     amplitude = math.pi / (bath.op_time * couplings_to_polar(couplings).omega)
-    h0 = amplitude * build_hamiltonians(couplings).h_eff
+    a1, a2 = (2 * abs(alpha) * amplitude for alpha in (couplings.alpha1, couplings.alpha2))
     plan = _multiplet_plan(bath.nuclei_per_electron)
-    drives = [
-        np.where(
-            g.bath[:, :, None] == g.bath[:, None, :],
-            h0[g.chain[:, :, None], g.chain[:, None, :]],
-            0.0,
-        )
-        for g in plan.groups
-    ]
+    drives = []
+    for g in plan.groups:
+        upper = len(g.contact) - len(g.partner)
+        drives.append(a1 * g.arms[0, :upper] + a2 * g.arms[1, :upper])
     return plan, drives
+
+
+def _block_propagators(
+    plan: _MultipletPlan, drives: list[np.ndarray], total_coupling: float, op_time: float
+):
+    """Each group with the ``(G, d, d)`` propagators of its blocks in the
+    DM-free gauge at coupling A: one real exponential per ``S_z >= 0``
+    block, and each ``S_z < 0`` block a copy of its partner's."""
+    for g, drive in zip(plan.groups, drives):
+        upper = expm_hermitian(drive + total_coupling * g.contact[: len(drive)], op_time)
+        yield g, np.concatenate([upper, upper[g.partner]])
 
 
 def hyperfine_channel(bath: HyperfineBath, couplings: ExchangeCouplings) -> QuantumChannel:
@@ -479,6 +534,13 @@ def hyperfine_channel(bath: HyperfineBath, couplings: ExchangeCouplings) -> Quan
     of each triple: 1,000 at N = 2.  This is the same map as the
     ``d_b**2`` operators ``<j|U|i> / sqrt(d_b)`` over bath basis states.
 
+    The blocks are exponentiated in the DM-free real gauge and paired by
+    the pi rotation (:func:`_pulse_blocks`, :func:`_multiplet_plan`), and
+    each block is taken back through the chain phases,
+    ``conj(D(c')) U D(c)``, before it is scattered.  The bath's gauge
+    phases are left out: they multiply each Kraus operator by a phase of
+    its own, which does not change the channel.
+
     Raises
     ------
     ValueError
@@ -487,10 +549,14 @@ def hyperfine_channel(bath: HyperfineBath, couplings: ExchangeCouplings) -> Quan
         If N's estimated bytes exceed ``MEMORY_BUDGET`` (N >= 7), before any plan.
     """
     plan, drives = _pulse_blocks(bath, couplings, True)
+    polar = couplings_to_polar(couplings)
+    chain = np.arange(8)
+    phases = np.exp(1j * (polar.phi1 * ((chain >> 1) & 1) - polar.phi2 * (chain & 1)))
     scale = np.sqrt(plan.weight / bath.bath_dim)
     kraus = np.zeros((len(plan.weight), 8, 8), dtype=np.complex128)
-    for g, drive in zip(plan.groups, drives):
-        u = expm_hermitian(drive + bath.total_coupling * g.contact, bath.op_time)
+    for g, u in _block_propagators(plan, drives, bath.total_coupling, bath.op_time):
+        d = phases[g.chain]
+        u *= d.conj()[:, :, None] * d[:, None, :]
         kraus[g.pair, g.chain[:, :, None], g.chain[:, None, :]] = scale[g.pair] * u
     return QuantumChannel(kraus=kraus)
 
@@ -516,6 +582,13 @@ def dephasing_sweep(
     depend on the bath basis, so this is the fidelity of the bit-basis
     Kraus family ``<j|U|i> / sqrt(d_b)``.
 
+    The blocks are real in the DM-free gauge of :func:`_pulse_blocks`, and
+    only the ``S_z >= 0`` blocks are exponentiated: each ``S_z < 0`` block
+    is its partner's under the pi rotation (:func:`_multiplet_plan`).  The
+    gauge turns the target into ``analytic_entangler(theta, 0, 0)`` and
+    each ``O_t`` into the same matrix up to phases of its rows and columns,
+    which leave F unchanged, so the sweep contracts against that target.
+
     Raises
     ------
     ValueError
@@ -529,7 +602,7 @@ def dephasing_sweep(
         raise ValueError(
             f"dephasing_sweep requires theta = pi/4 couplings, got theta = {polar.theta!r}"
         )
-    target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
+    target = analytic_entangler(polar.theta).matrix
     lambdas = tuple(float(x) for x in lambdas)
     n = bath_template.nuclei_per_electron
     tau = bath_template.op_time
@@ -544,10 +617,7 @@ def dephasing_sweep(
     values = []
     for a_total in totals:
         entries = weights * np.concatenate(
-            [
-                expm_hermitian(drive + a_total * g.contact, tau).reshape(-1)[g.register]
-                for g, drive in zip(plan.groups, drives)
-            ]
+            [u.reshape(-1)[g.register] for g, u in _block_propagators(plan, drives, a_total, tau)]
         )
         overlap = np.bincount(pairs, entries.real, size) + 1j * np.bincount(
             pairs, entries.imag, size

@@ -44,6 +44,25 @@ def test_expm_output_unitary(rng):
         assert unitarity_defect(u) <= 1e-12
 
 
+def test_expm_keeps_real_symmetric_input_real(rng, monkeypatch):
+    # A real generator goes to the real eigh; the result equals the complex
+    # route's to roundoff and has unit-norm eigenvector columns behind it.
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(h):
+        seen.append(h.dtype)
+        return eigh(h)
+
+    monkeypatch.setattr("numpy.linalg.eigh", spy)
+    a = rng.standard_normal((3, 12, 12))
+    h = a + np.swapaxes(a, 1, 2)
+    got = expm_hermitian(h, 0.8)
+    assert seen == [np.float64]
+    assert max_abs(got - expm_hermitian(h.astype(complex), 0.8)) <= 1e-13
+    assert unitarity_defect(got) <= 1e-13
+
+
 def test_expm_rejects_non_hermitian(rng):
     with pytest.raises(NonHermitianInput):
         expm_hermitian(random_matrix(rng, 4), 1.0)

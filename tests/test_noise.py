@@ -22,6 +22,7 @@ from spinholonomy import (
     couplings_to_polar,
     dephasing_sweep,
     dm_sweep,
+    expm_hermitian,
     extract_register_gate,
     gaussian_pulse,
     hyperfine_channel,
@@ -420,10 +421,13 @@ def test_dephasing_sweep_matches_dense_oracle(nuclei, scale, phi1, phi2, op_time
 @given(coupling=st.floats(-2.0, 2.0), scale=SCALES, phi1=DM_ANGLES, phi2=DM_ANGLES)
 @example(coupling=0.0, scale=1.0, phi1=0.0, phi2=0.0)
 def test_block_spectrum_matches_dense_oracle(nuclei, coupling, scale, phi1, phi2):
-    # Each block of triple t acts on m_t copies, so the block spectra, each
-    # repeated m_t times, are the spectrum of the dense bit-basis generator.
-    # Together with hermiticity this pins the contact and drive blocks and
-    # S_z conservation up to a change of basis.  The spectra come from eigh,
+    # Each block of triple t acts on m_t copies, and each S_z < 0 block is a
+    # copy of its partner, so the spectra of the exponentiated S_z >= 0
+    # blocks, each repeated m_t times per block it stands for, are the
+    # spectrum of the dense bit-basis generator.  The gauge is a unitary
+    # change of basis, so the DM angles move no eigenvalue.  Together with
+    # hermiticity this pins the contact and drive blocks and S_z
+    # conservation up to a change of basis.  The spectra come from eigh,
     # as in expm_hermitian: the values-only eigvalsh (OpenBLAS 0.3.31) lost
     # 7e-11 on a block with entries near 1e-87, where eigh stayed at 1e-14.
     couplings = symmetric_couplings(scale, phi1, phi2)
@@ -431,10 +435,14 @@ def test_block_spectrum_matches_dense_oracle(nuclei, coupling, scale, phi1, phi2
     plan, drives = _pulse_blocks(bath, couplings, False)
     spectra = []
     for g, drive in zip(plan.groups, drives):
+        upper = len(drive)
+        assert upper == len(g.contact) - len(g.partner)
         assert np.array_equal(g.contact, np.swapaxes(g.contact, 1, 2))
-        h = drive + coupling * g.contact
+        h = drive + coupling * g.contact[:upper]
+        assert h.dtype == np.float64
         assert hermiticity_defect(h) <= 1e-14
-        copies = plan.weight[g.pair[:, 0, 0]]  # m_t of each block's triple
+        # m_t of each block's triple, once for itself and once per mirror
+        copies = plan.weight[g.pair[:upper, 0, 0]] * (1 + np.bincount(g.partner, minlength=upper))
         spectra.append(np.repeat(np.linalg.eigh(h)[0], copies, axis=0).ravel())
     want = np.linalg.eigh(dense_pulse_generator(bath, couplings))[0]
     assert max_abs(np.sort(np.concatenate(spectra)) - want) <= 1e-12
@@ -452,6 +460,55 @@ def test_multiplet_plan_covers_the_bath_once(nuclei):
     assert _multiplet_plan(nuclei) is plan
     with pytest.raises(ValueError):
         plan.groups[0].contact[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("nuclei", [1, 2, 3, 4])
+def test_lower_blocks_mirror_their_partners(nuclei):
+    # The pi rotation about y maps state (c, k) of a triple to (7 - c, 2j - k)
+    # with a sign that is constant on a block: each S_z < 0 block, listed as
+    # the images of its partner's states, has the partner's contact and arm
+    # blocks entry by entry (the signed permutation is the identity).
+    for g in _multiplet_plan(nuclei).groups:
+        lower = slice(len(g.contact) - len(g.partner), None)
+        assert np.array_equal(g.contact[lower], g.contact[g.partner])
+        assert np.array_equal(g.arms[:, lower], g.arms[:, g.partner])
+        assert np.array_equal(g.chain[lower], 7 - g.chain[g.partner])
+        # mu -> n_b - 1 - mu in both bath states: pair + partner's pair is
+        # the same number (2 offset + n_b^2 - 1) on every entry of a block.
+        total = g.pair[lower] + g.pair[g.partner]
+        assert np.all(total == total[:, :1, :1])
+    for g in _multiplet_plan(nuclei).groups:
+        assert len(np.unique(g.partner)) == len(g.partner)  # one mirror per block
+
+
+@pytest.mark.parametrize("nuclei, exponentiated, blocks", [(1, 4, 7), (2, 28, 56), (3, 44, 80)])
+def test_point_exponentiates_only_the_upper_blocks(monkeypatch, nuclei, exponentiated, blocks):
+    # One sweep point exponentiates one block of each +-S_z pair (at odd N
+    # the S_z = 0 blocks are their own mirrors), every generator real.
+    seen = []
+
+    def spy(h, scale):
+        seen.append(h)
+        return expm_hermitian(h, scale)
+
+    monkeypatch.setattr("spinholonomy.noise.expm_hermitian", spy)
+    dephasing_sweep(HyperfineBath(0.0, 1.0, nuclei), [4.0], symmetric_couplings(1.2, 0.3, -0.2))
+    assert sum(len(h) for h in seen) == exponentiated
+    assert all(h.dtype == np.float64 for h in seen)
+    plan = _multiplet_plan(nuclei)
+    assert sum(len(g.contact) for g in plan.groups) == blocks
+
+
+@pytest.mark.parametrize("nuclei", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(scale=SCALES, phi1=ANGLE, phi2=ANGLE, op_time=OP_TIMES, lam=LAMBDAS)
+def test_dephasing_depends_on_n_and_lambda_alone(nuclei, scale, phi1, phi2, op_time, lam):
+    # The DM angles are a gauge, the scale and tau_op cancel in the
+    # calibrated pulse: F equals the XY-only point at unit scale and tau_op.
+    couplings = symmetric_couplings(scale, phi1, phi2)
+    got = dephasing_sweep(HyperfineBath(0.0, op_time, nuclei), [lam], couplings).fidelity[0]
+    want = dephasing_sweep(HyperfineBath(0.0, 1.0, nuclei), [lam], SYM).fidelity[0]
+    assert abs(got - want) <= 1e-14
 
 
 @pytest.mark.parametrize("nuclei", [1, 2])
