@@ -7,7 +7,9 @@ of its shape, and the cyclicity condition fixes the rest.  The read keys
 register the ``--format``, ``--grid`` and ``--steps`` flags and the
 ``classify`` matrix argument only where they act, refuse any other config
 key (so a typo or a setting that would change nothing fails loudly), and
-fix what the ``<out>.config.json`` sidecar records.  Every sweep writes
+fix what the ``<out>.config.json`` sidecar records.  A ``grid`` or
+``steps`` whose estimated bytes exceed ``noise.MEMORY_BUDGET`` is refused
+before anything is allocated.  Every sweep writes
 its CSV, sidecar and optional JSON or SVG through one emitter.  Exit
 codes: 0 success, 2 config/parse error, 3 numerical precondition failure.
 
@@ -30,11 +32,18 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .errors import ConfigError, ParseError, SpinHolonomyError
+from .errors import ConfigError, DimensionOverflow, ParseError, SpinHolonomyError
 from .gates import _entangler_matrices, analytic_entangler, extract_register_gate
 from .invariants import _metric_columns, gate_metrics
 from .linalg import max_abs
-from .noise import DEFAULT_STEPS, HyperfineBath, amplitude_noise_sweep, dephasing_sweep, dm_sweep
+from .noise import (
+    DEFAULT_STEPS,
+    MEMORY_BUDGET,
+    HyperfineBath,
+    amplitude_noise_sweep,
+    dephasing_sweep,
+    dm_sweep,
+)
 from .propagation import (
     PulsePlan,
     _require_cyclic,
@@ -76,6 +85,13 @@ class RunConfig:
     def couplings(self) -> ExchangeCouplings:
         return ExchangeCouplings(j1=self.j1, j2=self.j2, d1=self.d1, d2=self.d2)
 
+
+#: Bytes estimated per angle of ``sweep-theta`` (up to 2.6 KiB traced, with
+#: JSON records) and per step of ``sweep-noise``, plus per step and ratio
+#: pair (1.8 KiB traced per step at the default 100 pairs, 0.16 KiB at one).
+_BYTES_PER_ANGLE = 4096
+_BYTES_PER_STEP = 256
+_BYTES_PER_STEP_PAIR = 24
 
 _COUPLING_KEYS = ("j1", "j2", "d1", "d2")
 _PULSE_KEY_SHAPE = {"amplitude": "square", "duration": "gaussian", "samples": "tabulated"}
@@ -154,6 +170,14 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     for key, least in (("grid", 2), ("steps", 1), ("winding", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"field {key!r}: must be at least {least}")
+    per_step = _BYTES_PER_STEP + _BYTES_PER_STEP_PAIR * len(cfg.ratios1) * len(cfg.ratios2)
+    for key, per_unit in (("grid", _BYTES_PER_ANGLE), ("steps", per_step)):
+        estimate = getattr(cfg, key) * per_unit
+        if key in keys and estimate > MEMORY_BUDGET:
+            raise DimensionOverflow(
+                f"field {key!r}: {getattr(cfg, key)} needs an estimated {estimate} bytes, "
+                f"over the {MEMORY_BUDGET}-byte memory budget"
+            )
     if cfg.shape == "tabulated" and not cfg.samples:
         raise ConfigError("field 'samples': required for tabulated pulses")
     return cfg

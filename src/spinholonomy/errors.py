@@ -34,7 +34,7 @@ class NonCyclicPulse(SpinHolonomyError):
 
 
 class DimensionOverflow(SpinHolonomyError):
-    """A dephasing call's estimated memory exceeds the package's budget."""
+    """An estimated allocation exceeds the package's memory budget."""
 
 
 class ConfigError(SpinHolonomyError):

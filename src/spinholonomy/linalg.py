@@ -2,11 +2,12 @@
 
 Everything operates on ``numpy.ndarray`` with ``complex128`` entries
 (row-major); :func:`expm_hermitian` also takes a real symmetric generator,
-which stays real through its eigendecomposition.  Matrices in this package are 4x4, 8x8, or S_z blocks of the
-system-plus-bath (at most 48 states for the default hyperfine bath, 512
-for the dense test oracle); double precision leaves orders of
-magnitude of headroom at these sizes, so tolerances are fixed once: 1e-12
-for algebraic identities, 1e-8 for stepped-versus-exact propagators.
+which stays real through its eigendecomposition.  Matrices in this
+package are 4x4, 8x8, or S_z blocks of the system-plus-bath (at most 48
+states for the default hyperfine bath, 512 for the dense test oracle);
+double precision leaves orders of magnitude of headroom at these sizes,
+so tolerances are fixed once: 1e-12 for algebraic identities, 1e-8 for
+stepped-versus-exact propagators.
 :func:`expm_hermitian` serves the dephasing blocks and the general
 time-ordered oracle; every chain propagator is a closed-form star step,
 and no path builds a Kronecker product: the chain operators are written

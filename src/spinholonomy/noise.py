@@ -131,12 +131,14 @@ class HyperfineBath:
         Raises
         ------
         ValueError
-            If lambda is not positive, ``op_time`` or N is invalid, or A or
-            the phase ``A * tau_op = N / lambda`` overflows.
+            If lambda is not positive, ``op_time`` or N is invalid, or the
+            phase ``A * tau_op = N / lambda`` or, after it, A overflows.
         """
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam!r}")
         cls(0.0, op_time, nuclei_per_electron)  # checks op_time and N before dividing
+        if math.isinf(nuclei_per_electron / lam):
+            raise ValueError(f"the bath phase N / lambda overflows at lambda = {lam!r}")
         rate = lam * op_time
         a = nuclei_per_electron / rate if rate > 0 else math.inf
         if math.isinf(a):
@@ -144,9 +146,6 @@ class HyperfineBath:
                 f"hyperfine coupling A = N / (lambda * op_time) overflows at "
                 f"lambda = {lam!r}, op_time = {op_time!r}"
             )
-        if math.isinf(nuclei_per_electron / lam):
-            msg = f"the phase A * op_time = N / lambda overflows at lambda = {lam!r}"
-            raise ValueError(msg)
         return cls(total_coupling=a, op_time=op_time, nuclei_per_electron=nuclei_per_electron)
 
 

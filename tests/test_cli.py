@@ -346,12 +346,38 @@ def test_sweep_dephasing_nan_lambda_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("config", [{"lambdas": [5e-324]}, {"lambdas": [1e-320]}])
 def test_sweep_dephasing_coupling_overflow_exits_3(tmp_path, capsys, config):
-    # A = N / (lambda * op_time) overflows at the CLI's op_time = 1: the
-    # message names both causes.
+    # The phase N / lambda is checked before A = N / (lambda * op_time), so
+    # at the CLI's op_time = 1 the message names lambda and no setting the
+    # CLI does not have.
     assert run(tmp_path, "sweep-dephasing", config) == 3
     err = capsys.readouterr().err
-    assert "overflows" in err and "lambda" in err and "op_time" in err
+    assert f"N / lambda overflows at lambda = {config['lambdas'][0]!r}" in err
+    assert "op_time" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value", [10**9, 10**18])
+@pytest.mark.parametrize(
+    "command, key, allocator",
+    [
+        ("sweep-theta", "grid", "spinholonomy.cli._entangler_matrices"),
+        ("sweep-theta", "grid", "numpy.linspace"),
+        ("sweep-noise", "steps", "spinholonomy.cli.amplitude_noise_sweep"),
+    ],
+)
+def test_over_budget_grid_or_steps_exits_3(
+    tmp_path, capsys, monkeypatch, command, key, allocator, value
+):
+    # The byte estimate refuses the value before the routine that would
+    # allocate for it runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{key} = {value} reached {allocator}")
+
+    monkeypatch.setattr(allocator, refuse)
+    assert run(tmp_path, command, {key: value}) == 3
+    err = capsys.readouterr().err
+    assert f"field {key!r}: {value} needs an estimated" in err and "memory budget" in err
+    assert list(tmp_path.glob("out*")) == []
 
 
 def test_sweep_dephasing_runs_n4_by_default(tmp_path):
@@ -748,8 +774,10 @@ def _edge_value(key):
     edge = st.sampled_from(EDGE)
     if key == "nuclei_per_electron":
         return st.sampled_from([1, 2, 10**6])
-    if key in ("grid", "steps"):  # no more than 50, so that every run stays small
-        return st.integers(-1, 50) | st.sampled_from([-0.0, 5e-324, -1e308, "Infinity", "NaN"])
+    if key in ("grid", "steps"):  # no more than 50 unless refused, so every run stays small
+        huge = [10**9, 10**18]  # refused by the memory estimate before any allocation
+        edges = [-0.0, 5e-324, -1e308, "Infinity", "NaN", *huge]
+        return st.integers(-1, 50) | st.sampled_from(edges)
     if key in AXES:
         return st.lists(edge, max_size=3)
     if key == "samples":

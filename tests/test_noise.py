@@ -326,9 +326,12 @@ def test_bath_rejects_non_integer_nuclei(nuclei):
 
 
 def test_bath_coupling_overflow_names_lambda_and_op_time():
-    for lam, op_time in ((5.0, 1e-320), (1e-320, 1.0)):
-        with pytest.raises(ValueError, match=r"overflows at lambda = .*, op_time = "):
-            HyperfineBath.from_ratio(lam, op_time)
+    # The phase N / lambda is checked first: an overflow that lambda alone
+    # causes names lambda alone.
+    with pytest.raises(ValueError, match=r"overflows at lambda = 5.0, op_time = 1e-320"):
+        HyperfineBath.from_ratio(5.0, 1e-320)
+    with pytest.raises(ValueError, match=r"N / lambda overflows at lambda = 1e-320$"):
+        HyperfineBath.from_ratio(1e-320, 1.0)
 
 
 def test_bath_phase_overflow_is_refused_before_any_exponential(no_exponentials):
