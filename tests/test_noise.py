@@ -480,7 +480,6 @@ def test_lower_blocks_mirror_their_partners(nuclei):
         # the same number (2 offset + n_b^2 - 1) on every entry of a block.
         total = g.pair[lower] + g.pair[g.partner]
         assert np.all(total == total[:, :1, :1])
-    for g in _multiplet_plan(nuclei).groups:
         assert len(np.unique(g.partner)) == len(g.partner)  # one mirror per block
 
 
