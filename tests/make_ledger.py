@@ -1,7 +1,7 @@
 """Write ``ledger.json``: 30-digit references for the CLI's default outputs.
 
 Run by hand, not by the test suite, whenever the inputs of a covered output
-change (about 90 s):
+change (about 25 min on 2 CPUs, almost all of it the N = 2 dephasing slice):
 
     PYTHONPATH=src python tests/make_ledger.py
 
@@ -23,7 +23,10 @@ Covered outputs:
   DM angles 0.64 and -0.93 at theta = pi/4.  The chain-plus-bath generator
   is exponentiated on the total-S_z sectors of the bit basis (at most 20
   states), with the contact term built spin by spin, not from the package's
-  multiplet blocks.
+  multiplet blocks;
+* ``sweep_dephasing_n2``: the same two coupling cases at N = 2 and lambda
+  1 and 10, on sectors of at most 126 states (about 6 min per point, so
+  the slice is committed and never recomputed by the tests).
 """
 
 import json
@@ -172,11 +175,13 @@ def default_sweep_theta() -> dict:
     }
 
 
-#: The ``sweep-dephasing`` cases: N, and the couplings (j1, j2, d1, d2) of
-#: each run.  The second pair has |alpha1| = |alpha2| = 1/2 and DM angles
+#: The ``sweep-dephasing`` cases: the couplings (j1, j2, d1, d2) of each
+#: run.  The second pair has |alpha1| = |alpha2| = 1/2 and DM angles
 #: atan2(0.6, 0.8) = 0.64 and atan2(-0.8, 0.6) = -0.93.
-DEPHASING_NUCLEI = 1
 DEPHASING_COUPLINGS = ((1.0, 1.0, 0.0, 0.0), (0.8, 0.6, 0.6, -0.8))
+
+#: The lambdas of the N = 2 slice, two of the CLI's defaults.
+DEPHASING_N2_LAMBDAS = (1.0, 10.0)
 
 
 def _sector_generator(h_chain: mp.matrix, a_total, nuclei: int, states: list) -> mp.matrix:
@@ -234,18 +239,13 @@ def dephasing_fidelity(c: ExchangeCouplings, nuclei: int, lam: float):
     return mp.fsum(abs(o) ** 2 for o in overlap.values()) / (16 << bits)
 
 
-def sweep_dephasing() -> dict:
-    cfg = RunConfig(command="sweep-dephasing")
+def sweep_dephasing(nuclei: int, lambdas) -> dict:
     cases = []
     for values in DEPHASING_COUPLINGS:
         c = ExchangeCouplings(*values)
-        fidelity = [_digits(dephasing_fidelity(c, DEPHASING_NUCLEI, lam)) for lam in cfg.lambdas]
+        fidelity = [_digits(dephasing_fidelity(c, nuclei, lam)) for lam in lambdas]
         cases.append({"couplings": list(values), "fidelity": fidelity})
-    return {
-        "nuclei_per_electron": DEPHASING_NUCLEI,
-        "lambdas": list(cfg.lambdas),
-        "cases": cases,
-    }
+    return {"nuclei_per_electron": nuclei, "lambdas": list(lambdas), "cases": cases}
 
 
 def main() -> None:
@@ -256,9 +256,15 @@ def main() -> None:
             "sweep_dm": default_sweep_dm(),
             "sweep_noise": default_sweep_noise(),
             "sweep_theta": default_sweep_theta(),
-            "sweep_dephasing": sweep_dephasing(),
+            "sweep_dephasing": sweep_dephasing(1, RunConfig(command="sweep-dephasing").lambdas),
+            "sweep_dephasing_n2": sweep_dephasing(2, DEPHASING_N2_LAMBDAS),
         }
-    # One line per innermost list keeps the file short and its diffs readable.
+    write(ledger)
+
+
+def write(ledger: dict) -> None:
+    """Write ``ledger`` with one line per innermost list, which keeps the
+    file short and its diffs readable."""
     text = re.sub(
         r"\[\s+([^][{}]*?)\s+\]",
         lambda m: "[" + ", ".join(x.strip() for x in m.group(1).split(",")) + "]",

@@ -17,14 +17,16 @@ from spinholonomy.cli import RunConfig, main
 LEDGER = json.loads((Path(__file__).resolve().parent / "ledger.json").read_text())
 
 #: Worst absolute error per output: the measured 4.4e-16 (gate), 7.2e-16
-#: (sweep-dm), 4.7e-16 (sweep-noise) and 7.1e-16 (sweep-dephasing, both
-#: cases) plus one ulp of 1.0, since numpy's vectorized sin and cos and
-#: another CPU's LAPACK may round differently.
+#: (sweep-dm), 4.7e-16 (sweep-noise), 7.1e-16 (sweep-dephasing at N = 1,
+#: both cases) and 1.6e-16 (at N = 2, both cases) plus one ulp of 1.0,
+#: since numpy's vectorized sin and cos and another CPU's LAPACK may round
+#: differently.
 PINNED = {
     "gate": 4.4e-16 + 2.3e-16,
     "sweep_dm": 7.2e-16 + 2.3e-16,
     "sweep_noise": 4.7e-16 + 2.3e-16,
     "sweep_dephasing": 7.1e-16 + 2.3e-16,
+    "sweep_dephasing_n2": 1.6e-16 + 2.3e-16,
 }
 
 #: Worst absolute error per ``sweep-theta`` column, measured, with the same
@@ -117,18 +119,36 @@ def test_default_sweep_noise_against_ledger(tmp_path):
     assert err <= PINNED["sweep_noise"]
 
 
-@pytest.mark.parametrize("case", range(len(LEDGER["sweep_dephasing"]["cases"])))
-def test_sweep_dephasing_against_ledger(tmp_path, case):
-    mpmath = pytest.importorskip("mpmath")
-    ref = LEDGER["sweep_dephasing"]
+def _sweep_dephasing_error(mpmath, tmp_path, key: str, case: int) -> float:
+    """Worst error of one ``sweep-dephasing`` run of ledger slice ``key``."""
+    ref = LEDGER[key]
     couplings = dict(zip(("j1", "j2", "d1", "d2"), ref["cases"][case]["couplings"]))
-    config = {**couplings, "nuclei_per_electron": ref["nuclei_per_electron"]}
+    config = {
+        **couplings,
+        "nuclei_per_electron": ref["nuclei_per_electron"],
+        "lambdas": ref["lambdas"],
+    }
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     out = tmp_path / "dep"
     assert main(["sweep-dephasing", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
     rows = list(csv.reader((tmp_path / "dep.csv").read_text().splitlines()))[1:]
-    assert [float(lam) for lam, _ in rows] == ref["lambdas"] == list(RunConfig.lambdas)
+    assert [float(lam) for lam, _ in rows] == ref["lambdas"]
     with mpmath.workdps(LEDGER["digits"]):
         err = _worst(mpmath, [f for _, f in rows], ref["cases"][case]["fidelity"])
     print(f"sweep-dephasing {config}: worst error {err:.2e} against the 30-digit reference")
-    assert err <= PINNED["sweep_dephasing"]
+    return err
+
+
+@pytest.mark.parametrize("case", range(len(LEDGER["sweep_dephasing"]["cases"])))
+def test_sweep_dephasing_against_ledger(tmp_path, case):
+    mpmath = pytest.importorskip("mpmath")
+    assert LEDGER["sweep_dephasing"]["lambdas"] == list(RunConfig.lambdas)
+    assert _sweep_dephasing_error(mpmath, tmp_path, "sweep_dephasing", case) <= PINNED["sweep_dephasing"]
+
+
+@pytest.mark.parametrize("case", range(len(LEDGER["sweep_dephasing_n2"]["cases"])))
+def test_sweep_dephasing_n2_against_ledger(tmp_path, case):
+    # N = 2 at lambda 1 and 10: the first N with triples of unequal j.
+    mpmath = pytest.importorskip("mpmath")
+    err = _sweep_dephasing_error(mpmath, tmp_path, "sweep_dephasing_n2", case)
+    assert err <= PINNED["sweep_dephasing_n2"]
