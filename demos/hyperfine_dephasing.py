@@ -10,8 +10,10 @@ multiplet states, where the bit basis gives 4,096 for the same channel.
 Fidelity is swept against lambda = N / (A * tau_op), the ratio of the
 hyperfine decoherence time to the gate operation time: lambda >= 10 is
 enough for ~99% fidelity.  The generator is constant and conserves total
-S_z, so each point is one exact exponential per S_z block of the
-multiplets (at most 48-dimensional).
+S_z, so each point is exact: one exponential per S_z block of the
+multiplets, split into halves by the pi rotation and electron exchange
+and stacked in a few padded sizes.  The couplings sit at theta = pi/4,
+and the gate time tau_op does not enter: F depends on N and lambda alone.
 """
 
 import time

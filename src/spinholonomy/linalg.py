@@ -3,8 +3,9 @@
 Everything operates on ``numpy.ndarray`` with ``complex128`` entries
 (row-major); :func:`expm_hermitian` also takes a real symmetric generator,
 which stays real through its eigendecomposition.  Matrices in this
-package are 4x4, 8x8, or S_z blocks of the system-plus-bath (at most 48
-states for the default hyperfine bath, 512 for the dense test oracle);
+package are 4x4, 8x8, or halves of the S_z blocks of the system-plus-bath,
+zero-padded to a few sizes (at most 27 for the default hyperfine bath,
+512 for the dense test oracle);
 double precision leaves orders of magnitude of headroom at these sizes,
 so tolerances are fixed once: 1e-12 for algebraic identities, 1e-8 for
 stepped-versus-exact propagators.

@@ -32,27 +32,32 @@ which differ only in two scalar offsets, so it is stepped once for the
 whole grid, each step in closed form on the two S_z stars the arms act
 on; ``expm_hermitian`` serves only the dephasing blocks below.
 
-The dephasing generator is constant over the square pulse.  The coupling
-is the same for every nucleus, so each electron's nuclei enter only
-through their total spin: the bath splits into multiplet triples, each
-repeated ``m_t`` times, and total S_z is conserved inside each triple.
-One pulse is therefore exactly one exponential per S_z block of the
-triples, and the dephasing sweep and the Kraus channel share that block
-plan; see :func:`dephasing_sweep` and :func:`hyperfine_channel`, which
-refuse an N whose memory, counted from its block sizes, exceeds the budget.
-Two symmetries halve that work.  The z-axis DM term is a gauge on the
-chain (Shekhtman, Entin-Wohlman & Aharony, PRL 69, 836 (1992)): phases on
-the chain states, with the matching rotation of the nuclei, make every
-block real symmetric (:func:`_pulse_blocks`).  And the pi rotation of
-every spin maps the S_z = M block onto the -M block, so only the blocks
-with M >= 0 are exponentiated (:func:`_multiplet_plan`).
+The dephasing routes work at the maximally entangling point theta = pi/4,
+where both arms are driven equally and F depends on N and lambda alone;
+the couplings and the time unit are checked but do not enter the
+arithmetic.  The dephasing generator is constant over the square pulse.
+The coupling is the same for every nucleus, so each electron's nuclei
+enter only through their total spin: the bath splits into multiplet
+triples, each repeated ``m_t`` times, and total S_z is conserved inside
+each triple.  One pulse is therefore exactly one exponential per S_z block
+of the triples, and the dephasing sweep and the Kraus channel share one
+plan of those blocks; see :func:`dephasing_sweep` and
+:func:`hyperfine_channel`, which refuse an N whose memory, counted from
+its block sizes, exceeds the budget.  Three symmetries cut that work.  The
+z-axis DM term is a gauge on the chain (Shekhtman, Entin-Wohlman &
+Aharony, PRL 69, 836 (1992)): phases on the chain states, with the
+matching rotation of the nuclei, make every block real symmetric.  The pi
+rotation of every spin maps the S_z = M block onto the -M block, and
+electron exchange maps each triple onto the one with the two electrons'
+multiplets swapped; a block that either maps onto itself splits into an
+even and an odd half (:func:`_multiplet_plan`).  The halves are padded to
+the sizes of ``SIZE_CLASSES``, one stacked real exponential per size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,6 +87,16 @@ TARGET_LEAKAGE_TOL = 1e-10
 DEFAULT_STEPS = 200
 MEMORY_BUDGET = 2**30  # bytes; a larger estimate is refused (N >= 7)
 
+#: The padded sizes of the dephasing block halves, a x1.5 ladder from 8 to
+#: 308: each half is exponentiated in the smallest size that holds it, and
+#: 308 holds every block of an N that the memory budget admits.
+SIZE_CLASSES = tuple(math.ceil(8 * 1.5**k) for k in range(10))
+
+#: The drive phase ``a tau`` of each arm at theta = pi/4, over the square
+#: pulse calibrated cyclic: ``2 |alpha| (pi / omega)`` with
+#: ``|alpha| = omega / sqrt(2)``.
+_DRIVE_PHASE = math.sqrt(2) * math.pi
+
 
 @dataclass(frozen=True)
 class HyperfineBath:
@@ -90,10 +105,11 @@ class HyperfineBath:
     ``total_coupling`` is A; every per-nucleus constant is A/N.  The bath
     Hilbert space has dimension 2**(3N) -- 64 for the default N = 2, giving
     a 512-dimensional chain-plus-bath space, which the dephasing routes never
-    form: they work on its S_z blocks and refuse an N whose estimated memory
-    exceeds ``MEMORY_BUDGET`` (N >= 7).  ``op_time`` is only the time unit,
-    since the gate's dephasing depends on N and lambda alone.  N must be an
-    ``int`` >= 1.
+    form: they work on halves of its S_z blocks and refuse an N whose
+    estimated memory exceeds ``MEMORY_BUDGET`` (N >= 7).  ``op_time`` is
+    only the time unit: it is checked, but the gate's dephasing depends on
+    N and lambda alone, and the sweep's arithmetic never reads tau.  N must
+    be an ``int`` >= 1.
     """
 
     total_coupling: float
@@ -328,37 +344,43 @@ def _multiplicity(nuclei: int, twice_j: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class _Blocks:
-    """The total-S_z blocks of one dimension d, stacked: G blocks, the
-    ``S_z >= 0`` blocks first and then the ``S_z < 0`` ones.
+class _SizeClass:
+    """The block halves of one padded size ``s``, stacked: G of them, each
+    zero-padded from its own ``size``.  A pad row and column leave a half's
+    exponential block diagonal, an identity on the pad, which no gather
+    reads."""
 
-    A block state is ``|chain c> (x) |mu>`` with ``mu`` a state of the
-    block's multiplet triple.  ``pair`` numbers the bath pair
-    ``(mu', mu)`` of each entry ``<c', mu'|U|c, mu>`` across all triples;
-    the entries between ancilla-|0> chain states (``c, c' < 4``) sit at
-    the flat positions ``register`` of a ``(G, d, d)`` stack, and
-    ``target`` is the flat index ``4 c' + c`` of the target entry that
-    weighs each of them.  ``partner[i]`` is the ``S_z > 0`` block whose
-    states, mapped by the pi rotation (:func:`_multiplet_plan`), are the
-    states of ``S_z < 0`` block ``G - len(partner) + i`` in its order.
-    """
-
-    contact: np.ndarray  # (G, d, d): blocks of (1/N) sum_l S^(l) . J^(l)
-    arms: np.ndarray  # (2, G, d, d): blocks of the unit XY arms (x) 1_bath
-    chain: np.ndarray  # (G, d)
-    bath: np.ndarray  # (G, d)
-    pair: np.ndarray  # (G, d, d)
-    register: np.ndarray
-    target: np.ndarray
-    partner: np.ndarray  # (G_-,)
+    drive: np.ndarray  # (G, s, s): sqrt(2) pi (X1 + X2) on each half
+    contact: np.ndarray  # (G, s, s): the unit contact term on each half
+    size: np.ndarray  # (G,)
+    copies: np.ndarray  # (G,): chain-plus-bath copies of each half's spectrum
 
 
 @dataclass(frozen=True, eq=False)
 class _MultipletPlan:
-    """Every S_z block of the contact term, grouped by dimension, and the
-    multiplicity ``m_t`` of the triple of each bath pair."""
+    """The halves in their size classes, and how each block entry is
+    gathered from their propagators, raveled and concatenated into one flat
+    array.
 
-    groups: tuple[_Blocks, ...]
+    The states of every triple are numbered triple after triple, in the
+    order of :func:`_triples`.  State ``x`` has one component per half of
+    the block that it or its representative lies in (at most two), and
+    entry ``<x'|U|x>`` of a block is the sum over the components ``k`` that
+    both states have of ``+-sqrt|share[x', k] share[x, k]| * flat[row[x', k]
+    + col[x, k]]``, the sign that of the product.  ``index``, ``pair`` and
+    ``coef`` are that gather for the sweep, weighed by the target:
+    ``O[pair] = sum coef * flat[index]`` over the ancilla-|0> entries of the
+    kept triples, and ``weight`` is each of their bath pairs' ``m_t``,
+    doubled where the triple also stands for its exchange image.
+    """
+
+    classes: tuple[_SizeClass, ...]
+    row: np.ndarray  # (S, 2)
+    col: np.ndarray  # (S, 2)
+    share: np.ndarray  # (S, 2): 1, +-1/2, or 0 where a state has no component
+    index: np.ndarray
+    pair: np.ndarray
+    coef: np.ndarray
     weight: np.ndarray
 
 
@@ -392,10 +414,75 @@ def _estimated_bytes(nuclei: int, channel: bool) -> int:
     return total
 
 
+def _exchange_image(triple) -> np.ndarray:
+    """Electron exchange on the states of triple ``(j_a, j_1, j_2)``: the
+    number of each state's image in triple ``(j_a, j_2, j_1)``, chain bits
+    1 and 2 swapped and the multiplet indices of electrons 1 and 2 with
+    them."""
+    twice_j, nb = triple[0], triple[1]
+    chain, mu = np.divmod(np.arange(8 * nb), nb)
+    sizes = tuple(tj + 1 for tj in twice_j)
+    ka, k1, k2 = np.unravel_index(mu, sizes)
+    swapped = (chain & 4) | ((chain & 1) << 1) | ((chain >> 1) & 1)
+    return swapped * nb + np.ravel_multi_index((ka, k2, k1), (sizes[0], sizes[2], sizes[1]))
+
+
+def _block_generators(nuclei: int, triple, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit drive ``X1 + X2`` and the unit contact term
+    ``(1/N) sum_l S^(l) . J^(l)`` on ``states`` of one triple of
+    :func:`_triples`, in that order: real symmetric ``(d, d)`` each.
+
+    The contact blocks are built from the ladder elements
+    ``sqrt(j(j+1) - m(m+1))``; ``X1``, ``X2`` are the unit XY arms, which
+    the DM-free gauge of :func:`dephasing_sweep` leaves real.
+    """
+    twice_j, nb, down, twice_m = triple[:4]
+    strides = (nb // (twice_j[0] + 1), twice_j[2] + 1, 1)
+    position = np.empty(8 * nb, dtype=np.intp)
+    position[states] = np.arange(len(states))
+    contact = np.diag(np.sum((1 - 2 * down[states]) * twice_m[states], axis=1) / 4.0)
+    for l, (tj, stride) in enumerate(zip(twice_j, strides)):
+        # S^- J^+ / 2: electron l up -> down, its multiplet m -> m + 1.
+        up = states[(down[states, l] == 0) & (twice_m[states, l] < tj)]
+        tm = twice_m[up, l]
+        rows = position[up + (4 >> l) * nb - stride]
+        cols = position[up]
+        contact[rows, cols] = contact[cols, rows] = 0.25 * np.sqrt((tj - tm) * (tj + tm + 2))
+    unit = build_hamiltonians(ExchangeCouplings(1.0, 1.0)).h_eff.real
+    c, mu = np.divmod(states, nb)
+    drive = np.where(mu[:, None] == mu[None, :], unit[c[:, None], c[None, :]], 0.0)
+    return drive, contact / nuclei
+
+
+def _halves(image: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The halves of a block under an involution that commutes with its
+    generator, ``image[i]`` the position of state ``i``'s image (the
+    identity leaves one half, the block).  Per nonempty half, each state's
+    position in it and its share, the signed square of its coefficient: a
+    fixed state is an even member (share 1), and a pair ``x``, ``Px`` gives
+    the even member ``(x + Px)/sqrt 2`` and the odd member
+    ``(x - Px)/sqrt 2`` (shares 1/2, and 1/2 for ``x``, -1/2 for ``Px``)."""
+    own = np.arange(len(image))
+    first = np.minimum(own, image)
+    even = (np.cumsum(own <= image) - 1)[first], np.where(own == image, 1.0, 0.5)
+    odd = (np.cumsum(own < image) - 1)[first], np.sign(image - own) * 0.5
+    return [even, odd] if np.any(own < image) else [even]
+
+
+def _entry_terms(row, col, share, rows: np.ndarray, cols: np.ndarray, k: int):
+    """Component ``k`` of the entries ``<rows|U|cols>`` (state numbers of
+    one block): the mask of the entries that have it, and their flat
+    positions and coefficients (:class:`_MultipletPlan`)."""
+    part = share[rows, k][:, None] * share[cols, k][None, :]
+    keep = part != 0
+    position = (row[rows, k][:, None] + col[cols, k][None, :])[keep]
+    return keep, position, np.copysign(np.sqrt(np.abs(part[keep])), part[keep])
+
+
 @lru_cache(maxsize=None)
 def _multiplet_plan(nuclei: int) -> _MultipletPlan:
-    """Block structure of the unit contact term and of the unit XY arms; it
-    depends on N alone.
+    """The exponentiated halves and the gathers from them; they depend on
+    N alone.
 
     With one coupling for every nucleus, ``sum_k S^(l) . I^(l,k) =
     S^(l) . J^(l)`` with ``J^(l)`` the total spin of electron ``l``'s
@@ -403,121 +490,153 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
     copies each.  The contact term acts identically on the
     ``m_t = m(j_a) m(j_1) m(j_2)`` copies of each multiplet triple
     ``t = (j_a, j_1, j_2)`` (:func:`_triples`) and conserves the total S_z
-    inside it; the blocks are built from the ladder elements
-    ``sqrt(j(j+1) - m(m+1))``.
+    inside it.  Three symmetries of the generator at theta = pi/4 cut what
+    is exponentiated:
 
-    Pairing: the pi rotation about y of every spin commutes with the contact
-    term and with the XY arms, and maps state ``(c, k)`` of a triple (``k``
-    the multiplet indices, 0 for m = j) to ``(7 - c, 2j - k)``, that is
-    state ``x`` to ``8 n_b - 1 - x``, with the sign
-    ``(-1)^(popcount(c) + sum k)``.  That sign is constant on an S_z block,
-    so it cancels: listing each ``S_z < 0`` block's states as the images
-    of its ``S_z > 0`` partner's makes its blocks equal to the partner's,
-    entry by entry, and so is its propagator.  At odd N the ``S_z = 0``
-    blocks map onto themselves.
+    * The pi rotation about y of every spin maps state ``(c, k)`` of a
+      triple (``k`` the multiplet indices, 0 for m = j) to
+      ``(7 - c, 2j - k)``, that is state ``x`` to ``8 n_b - 1 - x``, with
+      the sign ``(-1)^(popcount(c) + sum k)``.  That sign is constant on an
+      S_z block, so it cancels: each ``S_z < 0`` entry equals the entry
+      between the images in the ``S_z > 0`` partner, and only the
+      ``S_z >= 0`` blocks are built.
+    * Electron exchange P (:func:`_exchange_image`) maps triple
+      ``(j_a, j_1, j_2)`` onto ``(j_a, j_2, j_1)`` entry by entry, with
+      equal arms: the triples with ``j_1 > j_2`` read their images, and the
+      sweep weighs the images twice, since the target is exchange
+      symmetric but for its entries ``+-cos(2 theta)``, 6e-17 at the
+      double nearest pi/4 (zeroing them leaves the default sweep's F
+      unchanged, bit for bit, at N = 1 to 4).
+    * P maps a ``j_1 = j_2`` triple onto itself, and at odd N the pi
+      rotation maps each ``S_z = 0`` block onto itself: such a block splits
+      into the even and odd halves of its involution (:func:`_halves`), P
+      where it applies.
+
+    Each half is zero-padded to the smallest size of ``SIZE_CLASSES`` that
+    holds it, and the halves of one size are stacked.
     """
-    unit_arms = [h.real for h in arm_hamiltonians(ExchangeCouplings(1.0, 1.0))]
-    by_dim = defaultdict(lambda: ([], []))  # per d: the S_z >= 0 blocks, the S_z < 0 ones
-    weight = []
-    for twice_j, nb, down, twice_m, order, dims in _triples(nuclei):
-        strides = (nb // (twice_j[0] + 1), twice_j[2] + 1, 1)
-        offset = len(weight)
+    triples = list(_triples(nuclei))
+    starts = np.cumsum([0] + [8 * triple[1] for triple in triples])
+    number = {triple[0]: t for t, triple in enumerate(triples)}
+    kept = [t for t, triple in enumerate(triples) if triple[0][1] <= triple[0][2]]
+    halves, members = [], []
+    for t in kept:
+        triple = triples[t]
+        twice_j, nb, _, _, order, dims = triple
+        exchanged = twice_j[1] == twice_j[2]
+        copies = math.prod(_multiplicity(nuclei, tj) for tj in twice_j) * (2 - exchanged)
+        image = _exchange_image(triple) if exchanged else 8 * nb - 1 - np.arange(8 * nb)
         blocks = np.split(order, np.cumsum(dims)[:-1])  # by S_z, symmetric about 0
-        lower = len(blocks) // 2
-        for i in range(lower):
-            blocks[i] = 8 * nb - 1 - blocks[-1 - i]
         position = np.empty(8 * nb, dtype=np.intp)
-        for states in blocks:
-            position[states] = np.arange(len(states))
-        index = {}
-        for i in (*range(lower, len(blocks)), *range(lower)):
+        for i in range(len(blocks) // 2, len(blocks)):
             states = blocks[i]
-            contact = np.diag(np.sum((1 - 2 * down[states]) * twice_m[states], axis=1) / 4.0)
-            for l, (tj, stride) in enumerate(zip(twice_j, strides)):
-                # S^- J^+ / 2: electron l up -> down, its multiplet m -> m + 1.
-                up = states[(down[states, l] == 0) & (twice_m[states, l] < tj)]
-                tm = twice_m[up, l]
-                rows = position[up + (4 >> l) * nb - stride]
-                cols = position[up]
-                contact[rows, cols] = contact[cols, rows] = 0.25 * np.sqrt(
-                    (tj - tm) * (tj + tm + 2)
-                )
-            c, mu = np.divmod(states, nb)
-            same = mu[:, None] == mu[None, :]
-            arms = [np.where(same, arm[c[:, None], c[None, :]], 0.0) for arm in unit_arms]
-            parts = (contact / nuclei, arms, c, mu, offset + mu[:, None] * nb + mu[None, :])
-            upper, mirrored = by_dim[len(states)]
-            if i >= lower:
-                index[i] = len(upper)
-                upper.append(parts)
-            else:
-                mirrored.append((parts, index[len(blocks) - 1 - i]))
-        weight += [math.prod(_multiplicity(nuclei, tj) for tj in twice_j)] * nb * nb
+            position[states] = np.arange(len(states))
+            mirrored = 2 * i + 1 == len(blocks)  # the S_z = 0 block
+            split = position[image[states]] if exchanged or mirrored else np.arange(len(states))
+            drive, contact = _block_generators(nuclei, triple, states)
+            for k, (index, part) in enumerate(_halves(split)):
+                has = part != 0
+                q = np.zeros((len(states), index[has].max() + 1))
+                q[has, index[has]] = np.sign(part[has]) * np.sqrt(np.abs(part[has]))
+                halves.append((q.T @ drive @ q, q.T @ contact @ q, copies * (2 - mirrored)))
+                members.append((starts[t] + states[has], k, index[has], part[has]))
 
-    groups = []
-    for _, (upper, mirrored) in sorted(by_dim.items()):
-        stacked = upper + [parts for parts, _ in mirrored]
-        contact, arms, chain, bath, pair = (np.stack(part) for part in zip(*stacked))
-        partner = np.array([index for _, index in mirrored], dtype=np.intp)
-        inside = chain < 4
-        register = np.flatnonzero(inside[:, :, None] & inside[:, None, :])
-        target = (4 * chain[:, :, None] + chain[:, None, :]).ravel()[register]
-        arms = np.ascontiguousarray(np.swapaxes(arms, 0, 1))
-        groups.append(_Blocks(contact, arms, chain, bath, pair, register, target, partner))
-    plan = _MultipletPlan(groups=tuple(groups), weight=np.array(weight))
-    for group in plan.groups:
-        for array in vars(group).values():
+    sizes = np.array([len(half[0]) for half in halves])
+    ladder = np.searchsorted(SIZE_CLASSES, sizes)
+    base = np.zeros(len(halves), dtype=np.intp)
+    width = np.zeros(len(halves), dtype=np.intp)
+    classes, flat = [], 0
+    for c in sorted(set(ladder.tolist())):
+        group = np.flatnonzero(ladder == c)
+        s = SIZE_CLASSES[c]
+        drive, contact = np.zeros((2, len(group), s, s))
+        for g, h in enumerate(group):
+            drive[g, : sizes[h], : sizes[h]], contact[g, : sizes[h], : sizes[h]] = halves[h][:2]
+        base[group] = flat + s * s * np.arange(len(group))
+        width[group] = s
+        flat += s * s * len(group)
+        copies = np.array([halves[h][2] for h in group])
+        classes.append(_SizeClass(_DRIVE_PHASE * drive, contact, sizes[group], copies))
+
+    row = np.zeros((starts[-1], 2), dtype=np.intp)
+    col = np.zeros((starts[-1], 2), dtype=np.intp)
+    share = np.zeros((starts[-1], 2))
+    for h, (states, k, index, part) in enumerate(members):
+        row[states, k] = base[h] + width[h] * index
+        col[states, k] = index
+        share[states, k] = part
+    # The S_z < 0 states copy their images' components, then every state of
+    # a dropped triple its exchange image's.
+    moves = []
+    for t in kept:
+        nb, order, dims = triples[t][1], triples[t][4], triples[t][5]
+        lower = order[: np.sum(dims[: len(dims) // 2])]
+        moves.append((starts[t] + lower, starts[t] + 8 * nb - 1 - lower))
+    for t, triple in enumerate(triples):
+        if t not in kept:
+            j_a, j_1, j_2 = triple[0]
+            source = starts[number[j_a, j_2, j_1]] + _exchange_image(triple)
+            moves.append((starts[t] + np.arange(8 * triple[1]), source))
+    for states, source in moves:
+        for table in (row, col, share):
+            table[states] = table[source]
+
+    # The sweep's gather: the ancilla-|0> entries (chain < 4) of every block
+    # of the kept triples against the target, equal terms merged.
+    target = analytic_entangler(math.pi / 4).matrix.real
+    terms, weight = [], []
+    for t in kept:
+        twice_j, nb, _, _, order, dims = triples[t]
+        for states in np.split(order, np.cumsum(dims)[:-1]):
+            states = states[states < 4 * nb]
+            c, mu = np.divmod(states, nb)
+            v = target[c[:, None], c[None, :]]
+            pair = len(weight) + mu[:, None] * nb + mu[None, :]
+            for k in range(2):
+                keep, position, coef = _entry_terms(row, col, share, *(starts[t] + states,) * 2, k)
+                coef *= v[keep]
+                terms.append((pair[keep] * flat + position, coef))
+        m_t = math.prod(_multiplicity(nuclei, tj) for tj in twice_j)
+        weight += [m_t * (1 + (twice_j[1] != twice_j[2]))] * nb * nb
+    key, inverse = np.unique(np.concatenate([key for key, _ in terms]), return_inverse=True)
+    coef = np.bincount(inverse, np.concatenate([coef for _, coef in terms]))
+    pair, index = np.divmod(key[coef != 0], flat)
+    plan = _MultipletPlan(
+        tuple(classes), row, col, share, index, pair, coef[coef != 0], np.array(weight, float)
+    )
+    for array in (row, col, share, index, pair, plan.coef, plan.weight):
+        array.setflags(write=False)
+    for size_class in classes:
+        for array in vars(size_class).values():
             array.setflags(write=False)
-    plan.weight.setflags(write=False)
     return plan
 
 
-def _pulse_blocks(
-    bath: HyperfineBath, couplings: ExchangeCouplings, channel: bool
-) -> tuple[_MultipletPlan, list[np.ndarray]]:
-    """The plan for ``bath``'s N and, per block group, the real drive blocks
-    of its ``S_z >= 0`` blocks in the DM-free gauge.
+def _half_propagators(plan: _MultipletPlan, phase: float) -> np.ndarray:
+    """The flat propagators of every half at the bath phase ``A tau``: one
+    real exponential of ``drive + phase * contact`` per size class."""
+    return np.concatenate(
+        [expm_hermitian(k.drive + phase * k.contact, 1.0).reshape(-1) for k in plan.classes]
+    )
 
-    The drive is ``amplitude * H0 (x) 1_bath`` for the square pulse
-    calibrated cyclic over ``bath.op_time``.  With the chain phases
-    ``D(c) = exp(i (phi1 b1(c) - phi2 b2(c)))``, ``b1``, ``b2`` the bits of
-    sites 1 and 2, ``H0 = D^dag H_xy D`` with ``H_xy`` the XY chain of the
-    couplings ``2 |alpha_k|``, and the matching z rotation of the nuclei
-    leaves the contact term unchanged.  The drive blocks in that gauge are
-    ``a1 X1 + a2 X2`` with ``a_k = 2 |alpha_k| * amplitude`` and ``X_k`` the
-    plan's real unit arm blocks.  With the static bath the generator
-    ``drive + A * contact`` is constant over the pulse.
 
-    Raises
-    ------
-    ValueError
-        If a coupling is not finite.
-    DimensionOverflow
-        If N's estimated bytes, Kraus stack too if ``channel``, exceed the budget.
-    """
+def _require_budget(nuclei: int, couplings: ExchangeCouplings, channel: bool) -> None:
+    """Refuse non-finite couplings (``ValueError``) and then an N whose
+    estimated bytes, Kraus stack too if ``channel``, exceed the budget
+    (:class:`DimensionOverflow`)."""
     values = (couplings.j1, couplings.j2, couplings.d1, couplings.d2)
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"exchange couplings must be finite, got {values}")
-    _estimated_bytes(bath.nuclei_per_electron, channel)  # refuses an N over the budget
-    amplitude = math.pi / (bath.op_time * couplings_to_polar(couplings).omega)
-    a1, a2 = (2 * abs(alpha) * amplitude for alpha in (couplings.alpha1, couplings.alpha2))
-    plan = _multiplet_plan(bath.nuclei_per_electron)
-    drives = []
-    for g in plan.groups:
-        upper = len(g.contact) - len(g.partner)
-        drives.append(a1 * g.arms[0, :upper] + a2 * g.arms[1, :upper])
-    return plan, drives
+    _estimated_bytes(nuclei, channel)
 
 
-def _block_propagators(
-    plan: _MultipletPlan, drives: list[np.ndarray], total_coupling: float, op_time: float
-):
-    """Each group with the ``(G, d, d)`` propagators of its blocks in the
-    DM-free gauge at coupling A: one real exponential per ``S_z >= 0``
-    block, and each ``S_z < 0`` block a copy of its partner's."""
-    for g, drive in zip(plan.groups, drives):
-        upper = expm_hermitian(drive + total_coupling * g.contact[: len(drive)], op_time)
-        yield g, np.concatenate([upper, upper[g.partner]])
+def _working_point(couplings: ExchangeCouplings, caller: str):
+    """The polar couplings, refused with a ``ValueError`` naming theta
+    unless theta is pi/4 within 1e-9."""
+    polar = couplings_to_polar(couplings)
+    if not abs(polar.theta - math.pi / 4) <= 1e-9:
+        raise ValueError(f"{caller} requires theta = pi/4 couplings, got theta = {polar.theta!r}")
+    return polar
 
 
 def hyperfine_channel(bath: HyperfineBath, couplings: ExchangeCouplings) -> QuantumChannel:
@@ -533,30 +652,47 @@ def hyperfine_channel(bath: HyperfineBath, couplings: ExchangeCouplings) -> Quan
     of each triple: 1,000 at N = 2.  This is the same map as the
     ``d_b**2`` operators ``<j|U|i> / sqrt(d_b)`` over bath basis states.
 
-    The blocks are exponentiated in the DM-free real gauge and paired by
-    the pi rotation (:func:`_pulse_blocks`, :func:`_multiplet_plan`), and
-    each block is taken back through the chain phases,
-    ``conj(D(c')) U D(c)``, before it is scattered.  The bath's gauge
-    phases are left out: they multiply each Kraus operator by a phase of
-    its own, which does not change the channel.
+    The blocks are evaluated at the working point of
+    :func:`dephasing_sweep`, at the bath phase ``A * op_time``: every entry
+    is gathered from the same halves (:func:`_multiplet_plan`), and each
+    block is taken back through the chain phases, ``conj(D(c')) U D(c)``,
+    before it is scattered.  The bath's gauge phases are left out: they
+    multiply each Kraus operator by a phase of its own, which does not
+    change the channel.
 
     Raises
     ------
     ValueError
-        If a coupling is not finite, before any exponential.
+        If a coupling is not finite or theta is not pi/4 (the halves are
+        exact only with equal arms), before any exponential.
     DimensionOverflow
         If N's estimated bytes exceed ``MEMORY_BUDGET`` (N >= 7), before any plan.
     """
-    plan, drives = _pulse_blocks(bath, couplings, True)
-    polar = couplings_to_polar(couplings)
+    n = bath.nuclei_per_electron
+    _require_budget(n, couplings, True)
+    polar = _working_point(couplings, "hyperfine_channel")
+    plan = _multiplet_plan(n)
+    flat = _half_propagators(plan, bath.total_coupling * bath.op_time)
     chain = np.arange(8)
     phases = np.exp(1j * (polar.phi1 * ((chain >> 1) & 1) - polar.phi2 * (chain & 1)))
-    scale = np.sqrt(plan.weight / bath.bath_dim)
-    kraus = np.zeros((len(plan.weight), 8, 8), dtype=np.complex128)
-    for g, u in _block_propagators(plan, drives, bath.total_coupling, bath.op_time):
-        d = phases[g.chain]
-        u *= d.conj()[:, :, None] * d[:, None, :]
-        kraus[g.pair, g.chain[:, :, None], g.chain[:, None, :]] = scale[g.pair] * u
+    triples = list(_triples(n))
+    kraus = np.zeros((sum(triple[1] ** 2 for triple in triples), 8, 8), dtype=np.complex128)
+    start = offset = 0
+    for twice_j, nb, _, _, order, dims in triples:
+        scale = math.sqrt(math.prod(_multiplicity(n, tj) for tj in twice_j) / bath.bath_dim)
+        for states in np.split(order, np.cumsum(dims)[:-1]):
+            u = np.zeros((len(states), len(states)), dtype=np.complex128)
+            for k in range(2):
+                keep, position, coef = _entry_terms(
+                    plan.row, plan.col, plan.share, *(start + states,) * 2, k
+                )
+                u[keep] += coef * flat[position]
+            c, mu = np.divmod(states, nb)
+            d = phases[c]
+            u *= scale * d.conj()[:, None] * d[None, :]
+            kraus[offset + mu[:, None] * nb + mu[None, :], c[:, None], c[None, :]] = u
+        start += 8 * nb
+        offset += nb * nb
     return QuantumChannel(kraus=kraus)
 
 
@@ -569,24 +705,35 @@ def dephasing_sweep(
     ``op_time`` so the pulse calibration never changes.  Requires
     couplings at the maximally entangling point theta = pi/4.
 
-    Each point exponentiates ``drive + A * contact`` once per S_z block of
-    the multiplet triples (one stacked call per block dimension; at most
-    48 states at N = 2 and 92 at N = 3) and contracts the process fidelity
-    directly from the ancilla-|0> entries of the blocks,
+    Working point: every point is evaluated at theta = pi/4, where both
+    arms get the drive phase ``a tau = sqrt(2) pi`` of the square pulse
+    calibrated cyclic, the bath phase is ``A tau = N / lambda``, and the
+    target is ``analytic_entangler(pi/4)``.  The couplings' scale and DM
+    angles and ``op_time`` are checked but drop out: F depends on N and
+    lambda alone.  Couplings inside the 1e-9 guard on theta are evaluated
+    at pi/4 too, which moves their F by O(1e-9) against their exact value.
+
+    Each point exponentiates ``drive + (N / lambda) * contact`` once per
+    size class of block halves (:func:`_multiplet_plan`; 4 stacked calls
+    at N = 2) and contracts the process fidelity directly from the
+    ancilla-|0> entries of the blocks,
 
         O_t[mu', mu] = sum_{s,s'} conj(V[s, s']) <s, mu'|U_t|s', mu>,
         F = sum_t m_t ||O_t||^2 / (16 d_b),
 
+    each entry a gather of at most two terms of the halves' propagators,
     without forming U or the Kraus operators.  The Frobenius norm does not
     depend on the bath basis, so this is the fidelity of the bit-basis
     Kraus family ``<j|U|i> / sqrt(d_b)``.
 
-    The blocks are real in the DM-free gauge of :func:`_pulse_blocks`, and
-    only the ``S_z >= 0`` blocks are exponentiated: each ``S_z < 0`` block
-    is its partner's under the pi rotation (:func:`_multiplet_plan`).  The
-    gauge turns the target into ``analytic_entangler(theta, 0, 0)`` and
-    each ``O_t`` into the same matrix up to phases of its rows and columns,
-    which leave F unchanged, so the sweep contracts against that target.
+    The blocks are real in the DM-free gauge: with the chain phases
+    ``D(c) = exp(i (phi1 b1(c) - phi2 b2(c)))``, ``b1``, ``b2`` the bits of
+    sites 1 and 2, ``H0 = D^dag H_xy D`` is the XY chain of the couplings
+    ``2 |alpha_k|`` (Shekhtman, Entin-Wohlman & Aharony, PRL 69, 836
+    (1992)), and the matching z rotation of the nuclei leaves the contact
+    term unchanged.  The gauge turns the target into
+    ``analytic_entangler(theta, 0, 0)`` and each ``O_t`` into the same
+    matrix up to phases of its rows and columns, which leave F unchanged.
 
     Raises
     ------
@@ -596,30 +743,20 @@ def dephasing_sweep(
     DimensionOverflow
         If N's estimated bytes exceed ``MEMORY_BUDGET`` (N >= 7), before any plan.
     """
-    polar = couplings_to_polar(couplings)
-    if not abs(polar.theta - math.pi / 4) <= 1e-9:
-        raise ValueError(
-            f"dephasing_sweep requires theta = pi/4 couplings, got theta = {polar.theta!r}"
-        )
-    target = analytic_entangler(polar.theta).matrix
+    _working_point(couplings, "dephasing_sweep")
     lambdas = tuple(float(x) for x in lambdas)
     n = bath_template.nuclei_per_electron
-    tau = bath_template.op_time
-    # Only the overall bath coupling A = N / (lambda * tau) varies with
-    # lambda; every lambda is checked before any work starts.
-    totals = [HyperfineBath.from_ratio(lam, tau, n).total_coupling for lam in lambdas]
-    plan, drives = _pulse_blocks(bath_template, couplings, False)
-    pairs = np.concatenate([g.pair.ravel()[g.register] for g in plan.groups])
-    weights = np.concatenate([target.conj().ravel()[g.target] for g in plan.groups])
+    for lam in lambdas:  # every lambda is checked before any work starts
+        HyperfineBath.from_ratio(lam, bath_template.op_time, n)
+    _require_budget(n, couplings, False)
+    plan = _multiplet_plan(n)
     size = len(plan.weight)
 
     values = []
-    for a_total in totals:
-        entries = weights * np.concatenate(
-            [u.reshape(-1)[g.register] for g, u in _block_propagators(plan, drives, a_total, tau)]
-        )
-        overlap = np.bincount(pairs, entries.real, size) + 1j * np.bincount(
-            pairs, entries.imag, size
+    for lam in lambdas:
+        entries = plan.coef * _half_propagators(plan, n / lam)[plan.index]
+        overlap = np.bincount(plan.pair, entries.real, size) + 1j * np.bincount(
+            plan.pair, entries.imag, size
         )
         norms = plan.weight @ (overlap.real**2 + overlap.imag**2)
         values.append(float(norms / (16.0 * bath_template.bath_dim)))

@@ -772,8 +772,8 @@ METRIC_COLUMNS = {"fidelity", "ep", "g1_re", "g1_im", "g2", "c1", "c2", "c3"}
 
 def _edge_value(key):
     edge = st.sampled_from(EDGE)
-    if key == "nuclei_per_electron":
-        return st.sampled_from([1, 2, 10**6])
+    if key == "nuclei_per_electron":  # 7 and 10**6 are refused by the memory estimate
+        return st.sampled_from([1, 2, 3, 7, 10**6])
     if key in ("grid", "steps"):  # no more than 50 unless refused, so every run stays small
         huge = [10**9, 10**18]  # refused by the memory estimate before any allocation
         edges = [-0.0, 5e-324, -1e308, "Infinity", "NaN", *huge]
@@ -811,6 +811,8 @@ def _finite_metrics(payload) -> bool:
 @example(case=("sweep-dm", {"shape": "gaussian", "duration": 5e-324}))
 @example(case=("sweep-noise", {"shape": "gaussian", "duration": 5e-324}))
 @example(case=("sweep-dephasing", {"lambdas": [5e-324], "op_time": 1e200}))
+@example(case=("sweep-dephasing", {"nuclei_per_electron": 3, "lambdas": [1e308]}))
+@example(case=("sweep-dephasing", {"nuclei_per_electron": 7}))  # the memory check
 @example(
     case=(
         "sweep-noise",

@@ -35,7 +35,18 @@ from spinholonomy import (
     tabulated_pulse,
 )
 from spinholonomy.linalg import hermiticity_defect, max_abs
-from spinholonomy.noise import MEMORY_BUDGET, _estimated_bytes, _multiplet_plan, _pulse_blocks
+from spinholonomy.noise import (
+    _DRIVE_PHASE,
+    MEMORY_BUDGET,
+    SIZE_CLASSES,
+    _block_generators,
+    _entry_terms,
+    _estimated_bytes,
+    _exchange_image,
+    _half_propagators,
+    _multiplet_plan,
+    _triples,
+)
 
 from helpers import (
     choi_matrix,
@@ -296,9 +307,8 @@ def test_block_counts_per_n():
     for n, entries, kraus in ((2, 11_160, 1_000), (4, 326_292, 42_875), (6, 3_410_912, 592_704)):
         assert _estimated_bytes(n, False) == 128 * entries
         assert _estimated_bytes(n, True) == 128 * entries + 1024 * kraus
-    plan = _multiplet_plan(2)
-    assert sum(g.contact.size for g in plan.groups) == 11_160
-    assert len(plan.weight) == 1_000
+    assert sum(int(dims @ dims) for *_, dims in _triples(2)) == 11_160
+    assert sum(nb * nb for _, nb, *_ in _triples(2)) == 1_000
 
 
 def test_over_budget_n_is_refused_before_the_plan(no_exponentials):
@@ -424,69 +434,102 @@ def test_dephasing_sweep_matches_dense_oracle(nuclei, scale, phi1, phi2, op_time
 @given(coupling=st.floats(-2.0, 2.0), scale=SCALES, phi1=DM_ANGLES, phi2=DM_ANGLES)
 @example(coupling=0.0, scale=1.0, phi1=0.0, phi2=0.0)
 def test_block_spectrum_matches_dense_oracle(nuclei, coupling, scale, phi1, phi2):
-    # Each block of triple t acts on m_t copies, and each S_z < 0 block is a
-    # copy of its partner, so the spectra of the exponentiated S_z >= 0
-    # blocks, each repeated m_t times per block it stands for, are the
-    # spectrum of the dense bit-basis generator.  The gauge is a unitary
-    # change of basis, so the DM angles move no eigenvalue.  Together with
-    # hermiticity this pins the contact and drive blocks and S_z
-    # conservation up to a change of basis.  The spectra come from eigh,
-    # as in expm_hermitian: the values-only eigvalsh (OpenBLAS 0.3.31) lost
-    # 7e-11 on a block with entries near 1e-87, where eigh stayed at 1e-14.
+    # Each half stands for m_t copies of its block, twice where the block
+    # also stands for its S_z < 0 mirror and twice again where its triple
+    # also stands for its exchange image, so the spectra of the halves,
+    # pad rows and columns cut off and each repeated that many times, are
+    # the spectrum of the dense bit-basis generator at tau_op = 1.  The
+    # gauge is a unitary change of basis, so the DM angles move no
+    # eigenvalue.  Together with symmetry this pins the contact and drive
+    # halves and S_z conservation up to a change of basis.  The spectra
+    # come from eigh, as in expm_hermitian: the values-only eigvalsh
+    # (OpenBLAS 0.3.31) lost 7e-11 on a block with entries near 1e-87,
+    # where eigh stayed at 1e-14.
     couplings = symmetric_couplings(scale, phi1, phi2)
     bath = HyperfineBath(coupling, 1.0, nuclei)
-    plan, drives = _pulse_blocks(bath, couplings, False)
     spectra = []
-    for g, drive in zip(plan.groups, drives):
-        upper = len(drive)
-        assert upper == len(g.contact) - len(g.partner)
-        assert np.array_equal(g.contact, np.swapaxes(g.contact, 1, 2))
-        h = drive + coupling * g.contact[:upper]
-        assert h.dtype == np.float64
-        assert hermiticity_defect(h) <= 1e-14
-        # m_t of each block's triple, once for itself and once per mirror
-        copies = plan.weight[g.pair[:upper, 0, 0]] * (1 + np.bincount(g.partner, minlength=upper))
-        spectra.append(np.repeat(np.linalg.eigh(h)[0], copies, axis=0).ravel())
+    for k in _multiplet_plan(nuclei).classes:
+        for part in (k.drive, k.contact):
+            assert part.dtype == np.float64
+            assert np.array_equal(part, np.swapaxes(part, 1, 2))
+        h = k.drive + coupling * k.contact
+        for g, n in enumerate(k.size):
+            assert not h[g, n:].any() and not h[g, :, n:].any()  # the pad is zero
+            spectra.append(np.repeat(np.linalg.eigh(h[g, :n, :n])[0], k.copies[g]))
     want = np.linalg.eigh(dense_pulse_generator(bath, couplings))[0]
     assert max_abs(np.sort(np.concatenate(spectra)) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("nuclei", [1, 2, 3, 4])
 def test_multiplet_plan_covers_the_bath_once(nuclei):
-    # sum over blocks of m_t * dim is 8 * 2**(3N): every chain-plus-bath
-    # state in exactly one block copy; the plan is built once and read-only.
+    # sum over halves of copies * size is 8 * 2**(3N): every chain-plus-bath
+    # state in exactly one half copy; the plan is built once and read-only.
     plan = _multiplet_plan(nuclei)
-    covered = sum(
-        int(plan.weight[g.pair[:, 0, 0]].sum()) * g.contact.shape[1] for g in plan.groups
-    )
+    covered = sum(int(k.copies @ k.size) for k in plan.classes)
     assert covered == 8 * 2 ** (3 * nuclei)
+    assert all(k.drive.shape[1] in SIZE_CLASSES for k in plan.classes)
     assert _multiplet_plan(nuclei) is plan
     with pytest.raises(ValueError):
-        plan.groups[0].contact[0, 0, 0] = 1.0
+        plan.classes[0].contact[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        plan.share[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("nuclei", [1, 2, 3, 4])
 def test_lower_blocks_mirror_their_partners(nuclei):
     # The pi rotation about y maps state (c, k) of a triple to (7 - c, 2j - k)
     # with a sign that is constant on a block: each S_z < 0 block, listed as
-    # the images of its partner's states, has the partner's contact and arm
-    # blocks entry by entry (the signed permutation is the identity).
-    for g in _multiplet_plan(nuclei).groups:
-        lower = slice(len(g.contact) - len(g.partner), None)
-        assert np.array_equal(g.contact[lower], g.contact[g.partner])
-        assert np.array_equal(g.arms[:, lower], g.arms[:, g.partner])
-        assert np.array_equal(g.chain[lower], 7 - g.chain[g.partner])
-        # mu -> n_b - 1 - mu in both bath states: pair + partner's pair is
-        # the same number (2 offset + n_b^2 - 1) on every entry of a block.
-        total = g.pair[lower] + g.pair[g.partner]
-        assert np.all(total == total[:, :1, :1])
-        assert len(np.unique(g.partner)) == len(g.partner)  # one mirror per block
+    # the images of its partner's states, has the partner's contact and
+    # drive blocks entry by entry (the signed permutation is the identity).
+    # Electron exchange maps each triple onto its image entry by entry.
+    triples = list(_triples(nuclei))
+    number = {triple[0]: t for t, triple in enumerate(triples)}
+    for triple in triples:
+        twice_j, nb, _, _, order, dims = triple
+        blocks = np.split(order, np.cumsum(dims)[:-1])
+        for lower, upper in zip(blocks, blocks[::-1][: len(blocks) // 2]):
+            assert np.array_equal(np.sort(8 * nb - 1 - upper), np.sort(lower))
+            mirror = _block_generators(nuclei, triple, 8 * nb - 1 - upper)
+            for got, want in zip(mirror, _block_generators(nuclei, triple, upper)):
+                assert np.array_equal(got, want)
+        image = triples[number[twice_j[0], twice_j[2], twice_j[1]]]
+        for states in blocks:
+            exchanged = _block_generators(nuclei, image, _exchange_image(triple)[states])
+            for got, want in zip(exchanged, _block_generators(nuclei, triple, states)):
+                assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("nuclei, exponentiated, blocks", [(1, 4, 7), (2, 28, 56), (3, 44, 80)])
-def test_point_exponentiates_only_the_upper_blocks(monkeypatch, nuclei, exponentiated, blocks):
-    # One sweep point exponentiates one block of each +-S_z pair (at odd N
-    # the S_z = 0 blocks are their own mirrors), every generator real.
+@pytest.mark.parametrize("nuclei", [1, 2, 3])
+@settings(max_examples=5, deadline=None)
+@given(lam=st.floats(0.5, 50.0))
+def test_halves_give_the_block_propagators(nuclei, lam):
+    # Every entry of every block, S_z < 0 blocks and exchange images
+    # included, gathered from the padded halves' propagators, against one
+    # exponential of the unsplit block.
+    plan = _multiplet_plan(nuclei)
+    phase = nuclei / lam
+    flat = _half_propagators(plan, phase)
+    start = 0
+    for triple in _triples(nuclei):
+        nb, order, dims = triple[1], triple[4], triple[5]
+        for states in np.split(order, np.cumsum(dims)[:-1]):
+            got = np.zeros((len(states), len(states)), dtype=np.complex128)
+            for k in range(2):
+                keep, position, coef = _entry_terms(
+                    plan.row, plan.col, plan.share, *(start + states,) * 2, k
+                )
+                got[keep] += coef * flat[position]
+            drive, contact = _block_generators(nuclei, triple, states)
+            want = expm_hermitian(_DRIVE_PHASE * drive + phase * contact, 1.0)
+            assert max_abs(got - want) <= 1e-13
+        start += 8 * nb
+
+
+@pytest.mark.parametrize("nuclei, calls", [(1, 2), (2, 4), (3, 6)])
+def test_point_exponentiates_one_stack_per_size_class(monkeypatch, nuclei, calls):
+    # One sweep point exponentiates each size class once, every generator
+    # real; the halves hold the S_z >= 0 blocks of the triples with
+    # j_1 <= j_2, each state once.
     seen = []
 
     def spy(h, scale):
@@ -495,10 +538,16 @@ def test_point_exponentiates_only_the_upper_blocks(monkeypatch, nuclei, exponent
 
     monkeypatch.setattr("spinholonomy.noise.expm_hermitian", spy)
     dephasing_sweep(HyperfineBath(0.0, 1.0, nuclei), [4.0], symmetric_couplings(1.2, 0.3, -0.2))
-    assert sum(len(h) for h in seen) == exponentiated
-    assert all(h.dtype == np.float64 for h in seen)
     plan = _multiplet_plan(nuclei)
-    assert sum(len(g.contact) for g in plan.groups) == blocks
+    assert len(seen) == len(plan.classes) == calls
+    assert all(h.dtype == np.float64 for h in seen)
+    assert [h.shape for h in seen] == [k.drive.shape for k in plan.classes]
+    upper = sum(
+        int(np.sum(dims[len(dims) // 2 :]))
+        for twice_j, *_, dims in _triples(nuclei)
+        if twice_j[1] <= twice_j[2]
+    )
+    assert sum(int(k.size.sum()) for k in plan.classes) == upper
 
 
 @pytest.mark.parametrize("nuclei", [1, 2, 3])
@@ -506,11 +555,26 @@ def test_point_exponentiates_only_the_upper_blocks(monkeypatch, nuclei, exponent
 @given(scale=SCALES, phi1=ANGLE, phi2=ANGLE, op_time=OP_TIMES, lam=LAMBDAS)
 def test_dephasing_depends_on_n_and_lambda_alone(nuclei, scale, phi1, phi2, op_time, lam):
     # The DM angles are a gauge, the scale and tau_op cancel in the
-    # calibrated pulse: F equals the XY-only point at unit scale and tau_op.
+    # calibrated pulse: F is the XY-only point at unit scale and tau_op,
+    # bit for bit, since neither enters the arithmetic.
     couplings = symmetric_couplings(scale, phi1, phi2)
     got = dephasing_sweep(HyperfineBath(0.0, op_time, nuclei), [lam], couplings).fidelity[0]
     want = dephasing_sweep(HyperfineBath(0.0, 1.0, nuclei), [lam], SYM).fidelity[0]
-    assert abs(got - want) <= 1e-14
+    assert got == want
+
+
+@pytest.mark.parametrize("offset", [5e-10, -5e-10])
+def test_couplings_inside_the_theta_guard_give_the_working_point(offset):
+    # theta = pi/4 +- 5e-10 passes the 1e-9 guard and is evaluated at pi/4:
+    # its F moves by O(1e-9) from its own exact value, onto the working
+    # point's, bit for bit.
+    polar = PolarCouplings(omega=1.3, theta=math.pi / 4 + offset, phi1=0.4, phi2=-1.1)
+    couplings = polar_to_couplings(polar)
+    assert abs(couplings_to_polar(couplings).theta - math.pi / 4 - offset) <= 1e-15
+    for n in (1, 2):
+        got = dephasing_sweep(HyperfineBath(0.0, 1.0, n), [3.0, 12.0], couplings).fidelity
+        want = dephasing_sweep(HyperfineBath(0.0, 1.0, n), [3.0, 12.0], SYM).fidelity
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("nuclei", [1, 2])
@@ -595,6 +659,12 @@ def test_dephasing_rejects_nan_lambda(no_exponentials):
 
 def test_infinite_lambda_means_no_bath():
     assert HyperfineBath.from_ratio(math.inf, 1.0).total_coupling == 0.0
+
+
+def test_hyperfine_channel_requires_symmetric_theta(no_exponentials):
+    bath = HyperfineBath.from_ratio(5.0, 1.0, nuclei_per_electron=1)
+    with pytest.raises(ValueError, match=r"hyperfine_channel requires theta = pi/4 .*theta = 0\.46"):
+        hyperfine_channel(bath, ExchangeCouplings(1.0, 0.5))
 
 
 def test_hyperfine_channel_rejects_non_finite_couplings(no_exponentials):
