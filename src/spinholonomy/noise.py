@@ -402,8 +402,8 @@ def _triples(nuclei: int):
 @lru_cache(maxsize=None)
 def _estimated_bytes(nuclei: int, channel: bool) -> int:
     """Bytes a dephasing call needs at N, counted from the block sizes: 128
-    per block entry (plan, drives and exponentials; 60 to 100 measured at
-    N = 1 to 4) and, for the ``channel``, 1 KiB per Kraus operator.  Raises
+    per block entry (plan, padded halves and exponentials; 26 to 91 traced
+    at N = 1 to 4) and, for the ``channel``, 1 KiB per Kraus operator.  Raises
     :class:`DimensionOverflow` as soon as the count exceeds ``MEMORY_BUDGET``."""
     total = 0
     for _, nb, _, _, _, dims in _triples(nuclei):
@@ -518,13 +518,18 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
     triples = list(_triples(nuclei))
     starts = np.cumsum([0] + [8 * triple[1] for triple in triples])
     number = {triple[0]: t for t, triple in enumerate(triples)}
-    kept = [t for t, triple in enumerate(triples) if triple[0][1] <= triple[0][2]]
+    # The kept triples, j_1 <= j_2, each with its m_t, doubled where it
+    # also stands for its exchange image.
+    kept = {
+        t: math.prod(_multiplicity(nuclei, tj) for tj in twice_j) * (1 + (twice_j[1] < twice_j[2]))
+        for t, (twice_j, *_) in enumerate(triples)
+        if twice_j[1] <= twice_j[2]
+    }
     halves, members = [], []
-    for t in kept:
+    for t, copies in kept.items():
         triple = triples[t]
         twice_j, nb, _, _, order, dims = triple
         exchanged = twice_j[1] == twice_j[2]
-        copies = math.prod(_multiplicity(nuclei, tj) for tj in twice_j) * (2 - exchanged)
         image = _exchange_image(triple) if exchanged else 8 * nb - 1 - np.arange(8 * nb)
         blocks = np.split(order, np.cumsum(dims)[:-1])  # by S_z, symmetric about 0
         position = np.empty(8 * nb, dtype=np.intp)
@@ -585,8 +590,8 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
     # of the kept triples against the target, equal terms merged.
     target = analytic_entangler(math.pi / 4).matrix.real
     terms, weight = [], []
-    for t in kept:
-        twice_j, nb, _, _, order, dims = triples[t]
+    for t, copies in kept.items():
+        nb, order, dims = triples[t][1], triples[t][4], triples[t][5]
         for states in np.split(order, np.cumsum(dims)[:-1]):
             states = states[states < 4 * nb]
             c, mu = np.divmod(states, nb)
@@ -596,8 +601,7 @@ def _multiplet_plan(nuclei: int) -> _MultipletPlan:
                 keep, position, coef = _entry_terms(row, col, share, *(starts[t] + states,) * 2, k)
                 coef *= v[keep]
                 terms.append((pair[keep] * flat + position, coef))
-        m_t = math.prod(_multiplicity(nuclei, tj) for tj in twice_j)
-        weight += [m_t * (1 + (twice_j[1] != twice_j[2]))] * nb * nb
+        weight += [copies] * nb * nb
     key, inverse = np.unique(np.concatenate([key for key, _ in terms]), return_inverse=True)
     coef = np.bincount(inverse, np.concatenate([coef for _, coef in terms]))
     pair, index = np.divmod(key[coef != 0], flat)

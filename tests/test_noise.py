@@ -34,7 +34,7 @@ from spinholonomy import (
     square_pulse,
     tabulated_pulse,
 )
-from spinholonomy.linalg import hermiticity_defect, max_abs
+from spinholonomy.linalg import max_abs
 from spinholonomy.noise import (
     _DRIVE_PHASE,
     MEMORY_BUDGET,
