@@ -7,11 +7,13 @@ of its shape, and the cyclicity condition fixes the rest.  The read keys
 register the ``--format``, ``--grid`` and ``--steps`` flags and the
 ``classify`` matrix argument only where they act, refuse any other config
 key (so a typo or a setting that would change nothing fails loudly), and
-fix what the ``<out>.config.json`` sidecar records.  A ``grid`` or
-``steps`` whose estimated bytes exceed ``noise.MEMORY_BUDGET`` is refused
-before anything is allocated.  Every sweep writes
-its CSV, sidecar and optional JSON or SVG through one emitter.  Exit
-codes: 0 success, 2 config/parse error, 3 numerical precondition failure.
+fix what the ``<out>.config.json`` sidecar records.  ``sweep-dephasing``
+reads N and lambda alone, since its fidelity depends on nothing else; it
+fixes the couplings and the time unit.  A ``grid`` or ``steps`` whose
+estimated bytes exceed ``noise.MEMORY_BUDGET`` is refused before anything
+is allocated.  Every sweep writes its CSV, sidecar and optional JSON or
+SVG through one emitter.  Exit codes: 0 success, 2 config/parse error, 3
+numerical precondition failure.
 
 :func:`main` may be called repeatedly in one process.  The parser is
 built on the first call and reused; parsing leaves no state in it, so a
@@ -326,9 +328,9 @@ def cmd_sweep_noise(cfg: RunConfig) -> int:
 
 
 def cmd_sweep_dephasing(cfg: RunConfig) -> int:
-    # The fidelity depends on N and lambda alone, so the time unit is 1.
+    # F depends on N and lambda alone: the time unit is 1, the couplings theta = pi/4.
     template = HyperfineBath(0.0, 1.0, cfg.nuclei_per_electron)
-    t = dephasing_sweep(template, cfg.lambdas, cfg.couplings())
+    t = dephasing_sweep(template, cfg.lambdas, ExchangeCouplings(1.0, 1.0))
     header = [*t.axis_names, "fidelity"]
     return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("λ", "fidelity"))
 
@@ -381,10 +383,7 @@ COMMANDS = {
         cmd_sweep_noise,
         (*_COUPLING_KEYS, *_PULSE_KEYS, "ratios1", "ratios2", "steps", "format"),
     ),
-    "sweep-dephasing": (
-        cmd_sweep_dephasing,
-        (*_COUPLING_KEYS, "lambdas", "nuclei_per_electron", "format"),
-    ),
+    "sweep-dephasing": (cmd_sweep_dephasing, ("lambdas", "nuclei_per_electron", "format")),
     "classify": (cmd_classify, ("matrix",)),
 }
 

@@ -624,19 +624,13 @@ def _half_propagators(plan: _MultipletPlan, phase: float) -> np.ndarray:
     )
 
 
-def _require_budget(nuclei: int, couplings: ExchangeCouplings, channel: bool) -> None:
-    """Refuse non-finite couplings (``ValueError``) and then an N whose
-    estimated bytes, Kraus stack too if ``channel``, exceed the budget
-    (:class:`DimensionOverflow`)."""
+def _working_point(couplings: ExchangeCouplings, caller: str):
+    """The polar couplings, refused with a ``ValueError`` naming the
+    couplings unless they are finite, then naming theta unless theta is
+    pi/4 within 1e-9."""
     values = (couplings.j1, couplings.j2, couplings.d1, couplings.d2)
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"exchange couplings must be finite, got {values}")
-    _estimated_bytes(nuclei, channel)
-
-
-def _working_point(couplings: ExchangeCouplings, caller: str):
-    """The polar couplings, refused with a ``ValueError`` naming theta
-    unless theta is pi/4 within 1e-9."""
     polar = couplings_to_polar(couplings)
     if not abs(polar.theta - math.pi / 4) <= 1e-9:
         raise ValueError(f"{caller} requires theta = pi/4 couplings, got theta = {polar.theta!r}")
@@ -673,8 +667,8 @@ def hyperfine_channel(bath: HyperfineBath, couplings: ExchangeCouplings) -> Quan
         If N's estimated bytes exceed ``MEMORY_BUDGET`` (N >= 7), before any plan.
     """
     n = bath.nuclei_per_electron
-    _require_budget(n, couplings, True)
     polar = _working_point(couplings, "hyperfine_channel")
+    _estimated_bytes(n, True)
     plan = _multiplet_plan(n)
     flat = _half_propagators(plan, bath.total_coupling * bath.op_time)
     chain = np.arange(8)
@@ -742,8 +736,8 @@ def dephasing_sweep(
     Raises
     ------
     ValueError
-        If theta is not pi/4, a lambda is not positive or a coupling is
-        not finite, before any exponential.
+        If a coupling is not finite, theta is not pi/4 or a lambda is not
+        positive, before any exponential.
     DimensionOverflow
         If N's estimated bytes exceed ``MEMORY_BUDGET`` (N >= 7), before any plan.
     """
@@ -752,7 +746,7 @@ def dephasing_sweep(
     n = bath_template.nuclei_per_electron
     for lam in lambdas:  # every lambda is checked before any work starts
         HyperfineBath.from_ratio(lam, bath_template.op_time, n)
-    _require_budget(n, couplings, False)
+    _estimated_bytes(n, False)
     plan = _multiplet_plan(n)
     size = len(plan.weight)
 

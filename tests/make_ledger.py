@@ -216,8 +216,8 @@ def _sector_generator(h_chain: mp.matrix, a_total, nuclei: int, states: list) ->
 
 
 def dephasing_fidelity(c: ExchangeCouplings, nuclei: int, lam: float):
-    """One ``sweep-dephasing`` point as the CLI forms its inputs: op_time 1,
-    the drive ``pi / omega``, ``A = N / lambda`` and the double-precision
+    """One ``dephasing_sweep`` point at couplings ``c`` and the CLI's op_time
+    1: the drive ``pi / omega``, ``A = N / lambda`` and the double-precision
     target.  ``F = ||O||^2 / (16 d_b)`` with ``O[j, i] = sum_{s,s'}
     conj(V[s, s']) <s, j|U|s', i>`` over the sectors' ancilla-|0> entries."""
     polar = couplings_to_polar(c)

@@ -432,7 +432,7 @@ def test_sweep_dm_nan_ratio_exits_3(tmp_path, capsys):
 
 NON_FINITE_COUPLINGS = [
     (key, value, command)
-    for command in ["gate", "sweep-dm", "sweep-noise", "sweep-dephasing"]
+    for command in ["gate", "sweep-dm", "sweep-noise"]
     for key, value in [("j1", math.nan), ("d1", math.inf)]
     if key in COMMANDS[command][1]
 ]
@@ -480,6 +480,9 @@ def test_steps_flag_sets_sweep_noise_steps(tmp_path):
 # The keys sweep-dephasing read before a memory check replaced its dimension
 # cap and its time unit was fixed; every command now refuses them as unread.
 REMOVED = ("op_time", "dim_cap")
+# The couplings, which sweep-dephasing does not read: its fidelity depends
+# on N and lambda alone.
+DEPHASING_COUPLINGS = ("j1", "j2", "d1", "d2")
 # A valid value other than the default for every config key, and a value
 # for each removed key.
 NON_DEFAULT = {
@@ -510,10 +513,10 @@ OWN_KEY = {"square": "amplitude", "gaussian": "duration", "tabulated": "samples"
 SHAPE_OF = {key: shape for shape, key in OWN_KEY.items()}
 PULSE_COMMANDS = ["gate", "sweep-dm", "sweep-noise"]
 # (command, key) pairs read for some shape, and those read for no shape;
-# sweep-dephasing's removed keys come last, so that the other pairs keep
-# their places (and their test ids).
+# the keys sweep-dephasing no longer reads come last, so that the other
+# pairs keep their places (and their test ids).
 READ = [(c, k) for c, (_, keys) in COMMANDS.items() for k in keys]
-DEPHASING_REMOVED = [("sweep-dephasing", k) for k in REMOVED]
+DEPHASING_REMOVED = [("sweep-dephasing", k) for k in (*REMOVED, *DEPHASING_COUPLINGS)]
 UNREAD = [
     (c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in READ + DEPHASING_REMOVED
 ] + DEPHASING_REMOVED
@@ -531,11 +534,12 @@ def test_key_table_covers_every_setting():
     settable = {f.name for f in fields(RunConfig)} - {"command", "out"}
     assert set(NON_DEFAULT) == settable | set(REMOVED) and not settable & set(REMOVED)
     assert all(k in settable for _, k in READ)
-    assert (len(READ), len(UNREAD)) == (42, 84)
+    assert (len(READ), len(UNREAD)) == (38, 88)
+    assert COMMANDS["sweep-dephasing"][1] == ("lambdas", "nuclei_per_electron", "format")
     for shape, own in OWN_KEY.items():
         read = [(c, k) for c in COMMANDS for k in read_keys(c, shape)]
         unread = [(c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in read]
-        assert (len(read), len(unread)) == (36, 90)
+        assert (len(read), len(unread)) == (32, 94)
         for command in PULSE_COMMANDS:
             pulse = set(read_keys(command, shape)) & {"shape", "winding", *OWN_KEY.values()}
             assert pulse == {"shape", "winding", own}
@@ -543,8 +547,11 @@ def test_key_table_covers_every_setting():
 
 @pytest.mark.parametrize(
     "command, key, value",
-    # sweep-dm reads only j1 and j2, so even a non-finite d1 is refused as unread.
-    [(c, k, NON_DEFAULT[k]) for c, k in UNREAD] + [("sweep-dm", "d1", math.inf)],
+    # sweep-dm reads only j1 and j2 and sweep-dephasing no coupling, so even
+    # a non-finite coupling is refused as unread.
+    [(c, k, NON_DEFAULT[k]) for c, k in UNREAD]
+    + [("sweep-dm", "d1", math.inf)]
+    + [("sweep-dephasing", k, v) for k, v in [("j1", math.nan), ("d1", math.inf)]],
 )
 def test_unread_config_key_exits_2(tmp_path, capsys, command, key, value):
     assert run(tmp_path, command, {key: value}) == 2

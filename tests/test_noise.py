@@ -378,6 +378,20 @@ def test_dephasing_trend_and_range():
     assert np.all(np.diff(f) >= -1e-6)
 
 
+@pytest.mark.parametrize("nuclei", [1, 2, 3, 4, 5, 6])
+def test_dephasing_limits_at_every_admitted_n(nuclei):
+    # At every N the memory check admits, F = 1 within 2 ulp without a bath
+    # (lambda = 1e9), and F does not fall as lambda grows: over the CLI's
+    # 20 default lambdas up to N = 4, over five of them at N = 5 and 6 (the
+    # smallest step is 8.8e-5, at N = 1).
+    lambdas = range(1, 21) if nuclei <= 4 else (1, 2, 5, 10, 20)
+    f = dephasing_sweep(HyperfineBath(0.0, 1.0, nuclei), [*lambdas, 1e9], SYM).fidelity
+    if nuclei >= 5:
+        _multiplet_plan.cache_clear()  # their plans hold up to 170 MB
+    assert abs(f[-1] - 1.0) <= 2 * np.spacing(1.0)
+    assert np.all(np.diff(f) >= 0.0)
+
+
 def test_dephasing_requires_symmetric_theta():
     bath = HyperfineBath(total_coupling=0.0, op_time=1.0)
     with pytest.raises(ValueError):
@@ -632,10 +646,26 @@ def test_dephasing_n3_point_memory_and_time():
 
 # --- non-finite inputs on the dephasing path -------------------------------
 
-def test_dephasing_rejects_nan_coupling(no_exponentials):
-    bath = HyperfineBath(total_coupling=0.0, op_time=1.0)
-    with pytest.raises(ValueError, match="theta"):
-        dephasing_sweep(bath, [5.0], ExchangeCouplings(math.nan, 1.0))
+# Both dephasing routes, at N = 1 and lambda = 5.
+ROUTES = {
+    "sweep": lambda couplings: dephasing_sweep(HyperfineBath(0.0, 1.0, 1), [5.0], couplings),
+    "channel": lambda couplings: hyperfine_channel(
+        HyperfineBath.from_ratio(5.0, 1.0, 1), couplings
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "couplings",
+    [ExchangeCouplings(math.nan, 1.0), ExchangeCouplings(1.0, 1.0, math.inf, 0.0)],
+    ids=["j1-nan", "d1-inf"],
+)
+@pytest.mark.parametrize("route", ROUTES)
+def test_non_finite_coupling_is_named_on_both_routes(no_exponentials, route, couplings):
+    # A non-finite coupling makes theta NaN: it is named before theta is checked.
+    with pytest.raises(ValueError, match="exchange couplings must be finite") as exc:
+        ROUTES[route](couplings)
+    assert "theta" not in str(exc.value)
 
 
 def test_bath_rejects_non_finite_parameters():
@@ -665,10 +695,3 @@ def test_hyperfine_channel_requires_symmetric_theta(no_exponentials):
     bath = HyperfineBath.from_ratio(5.0, 1.0, nuclei_per_electron=1)
     with pytest.raises(ValueError, match=r"hyperfine_channel requires theta = pi/4 .*theta = 0\.46"):
         hyperfine_channel(bath, ExchangeCouplings(1.0, 0.5))
-
-
-def test_hyperfine_channel_rejects_non_finite_couplings(no_exponentials):
-    bath = HyperfineBath.from_ratio(5.0, 1.0, nuclei_per_electron=1)
-    with pytest.raises(ValueError, match="finite"):
-        hyperfine_channel(bath, ExchangeCouplings(math.inf, math.inf))
-
