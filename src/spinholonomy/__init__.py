@@ -28,7 +28,6 @@ from .invariants import (
     classify_entangler,
     entangling_power,
     gate_metrics,
-    invariants_from_weyl,
     makhlin_invariants,
     weyl_coordinates,
 )
@@ -47,7 +46,6 @@ from .propagation import (
     PulsePlan,
     gaussian_pulse,
     propagator_closed_form,
-    propagator_time_ordered,
     pulse_area,
     scaled_to_area,
     solve_cyclic,
@@ -85,12 +83,10 @@ __all__ = [
     "pulse_area",
     "solve_cyclic",
     "propagator_closed_form",
-    "propagator_time_ordered",
     "extract_register_gate",
     "analytic_entangler",
     "makhlin_invariants",
     "weyl_coordinates",
-    "invariants_from_weyl",
     "entangling_power",
     "classify_entangler",
     "gate_metrics",

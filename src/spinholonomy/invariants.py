@@ -219,21 +219,6 @@ def weyl_coordinates(u: CMatrix):
     return tuple(weyl[0].tolist()) if np.ndim(u) == 2 else weyl
 
 
-def invariants_from_weyl(
-    c1: float, c2: float, c3: float
-) -> tuple[complex, float]:
-    """(G1, G2) evaluated from canonical coordinates.
-
-    ``G1 = (1/4) [e^{+i c3} cos(c1 - c2) + e^{-i c3} cos(c1 + c2)]^2`` and
-    ``G2 = cos(2 c1) + cos(2 c2) + cos(2 c3)``.
-    """
-    g1 = 0.25 * (
-        np.exp(1j * c3) * math.cos(c1 - c2) + np.exp(-1j * c3) * math.cos(c1 + c2)
-    ) ** 2
-    g2 = math.cos(2 * c1) + math.cos(2 * c2) + math.cos(2 * c3)
-    return complex(g1), g2
-
-
 def entangling_power(g1: complex) -> float:
     """``ep = (2/9) (1 - |G1|)``, clamped to [0, 2/9]."""
     ep = MAX_ENTANGLING_POWER * (1.0 - abs(g1))
@@ -351,7 +336,6 @@ __all__ = [
     "GateMetrics",
     "makhlin_invariants",
     "weyl_coordinates",
-    "invariants_from_weyl",
     "entangling_power",
     "in_perfect_polyhedron",
     "classify_entangler",

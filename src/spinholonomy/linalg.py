@@ -4,15 +4,16 @@ Everything operates on ``numpy.ndarray`` with ``complex128`` entries
 (row-major); :func:`expm_hermitian` also takes a real symmetric generator,
 which stays real through its eigendecomposition.  Matrices in this
 package are 4x4, 8x8, or halves of the S_z blocks of the system-plus-bath,
-zero-padded to a few sizes (at most 27 for the default hyperfine bath,
-512 for the dense test oracle);
+zero-padded to a few sizes (at most 27 for the default hyperfine bath);
 double precision leaves orders of magnitude of headroom at these sizes,
 so tolerances are fixed once: 1e-12 for algebraic identities, 1e-8 for
 stepped-versus-exact propagators.
-:func:`expm_hermitian` serves the dephasing blocks and the general
-time-ordered oracle; every chain propagator is a closed-form star step,
-and no path builds a Kronecker product: the chain operators are written
-directly on their S_z stars (``spin_chain``).
+At run time :func:`expm_hermitian` serves only the dephasing size classes
+(``noise``); every chain propagator is a closed-form star step, and no
+path builds a Kronecker product: the chain operators are written
+directly on their S_z stars (``spin_chain``).  The tests' oracles (the
+time-ordered product, the dense 512-dimensional bath) exponentiate
+through it too.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ would realize on the clean chain.  Fidelity is the process fidelity
     F = sum_k |tr(V^dag M_k)|^2 / d^2,        d = 4,
 
 over the Kraus operators restricted to the ancilla-|0> register block; for
-a plain (possibly leaky) gate this is ``|tr(V^dag M)|^2 / 16``.  It is
-basis independent, removes global phases, penalizes leakage automatically,
-and reduces to 1 exactly when the realized operation equals the target;
-it is not clipped, so rounding may put it a few ulp above 1.
+a plain (possibly leaky) gate this is ``|tr(V^dag M)|^2 / 16``, which
+:func:`process_fidelity` evaluates, and the dephasing sweep contracts the
+sum over its Kraus family without forming it.  F is basis independent,
+removes global phases, penalizes leakage automatically, and reduces to 1
+exactly when the realized operation equals the target; it is not clipped,
+so rounding may put it a few ulp above 1.
 The average-gate-fidelity convention can be derived from it as
 ``(d F + 1) / (d + 1)``.
 
@@ -131,13 +133,6 @@ class HyperfineBath:
     def bath_dim(self) -> int:
         return 2 ** (3 * self.nuclei_per_electron)
 
-    @property
-    def lam(self) -> float:
-        """Decoherence-to-operation time ratio N / (A * tau_op)."""
-        if self.total_coupling == 0:
-            return math.inf
-        return self.nuclei_per_electron / (self.total_coupling * self.op_time)
-
     @classmethod
     def from_ratio(
         cls, lam: float, op_time: float, nuclei_per_electron: int = 2
@@ -201,10 +196,9 @@ def _require_unitary_target(target: RegisterGate) -> None:
         raise NonUnitaryTarget(msg)
 
 
-def process_fidelity(
-    target: RegisterGate, actual: RegisterGate | QuantumChannel
-) -> float:
-    """Process fidelity of a realized operation against a unitary target.
+def process_fidelity(target: RegisterGate, actual: RegisterGate) -> float:
+    """Process fidelity ``|tr(V^dag M)|^2 / 16`` of a realized register gate
+    against a unitary target.
 
     The value is not clipped: when the operation equals the target up to
     rounding it may exceed 1 by a few ulp.
@@ -215,12 +209,7 @@ def process_fidelity(
         If the target gate is leaky or non-unitary.
     """
     _require_unitary_target(target)
-    v = target.matrix
-    if isinstance(actual, QuantumChannel):
-        blocks = actual.kraus[:, :4, :4]
-        overlaps = np.einsum("sp,ksp->k", v.conj(), blocks)
-        return float(np.sum(np.abs(overlaps) ** 2) / 16.0)
-    overlap = np.einsum("sp,sp->", v.conj(), actual.matrix)
+    overlap = np.einsum("sp,sp->", target.matrix.conj(), actual.matrix)
     return float(abs(overlap) ** 2 / 16.0)
 
 
@@ -291,8 +280,8 @@ def amplitude_noise_sweep(
     of ``inf`` means no offset); the two arm Hamiltonians do not commute,
     so the perturbed propagator is evaluated by time-ordered stepping.  The
     grid points differ only in their offsets, so the envelope is sampled
-    once and the grid is stepped as one stack by ``star_product``: the
-    product of :func:`propagator_time_ordered`, each step in closed form.
+    once and the grid is stepped as one stack by ``star_product``, the
+    midpoint-rule product with each step in closed form.
     Fidelities are not clipped; a near-clean point may read a few ulp
     above 1.
 
@@ -324,8 +313,8 @@ def amplitude_noise_sweep(
                 )
         offsets.append([pulse.amplitude / r for r in ratios])
     grid_offsets = np.array([(a, b) for a in offsets[0] for b in offsets[1]]).reshape(-1, 2)
-    dt, envelope = _midpoint_samples([pulse.envelope], pulse.duration, steps)
-    u = star_product(b1, b2, envelope[:, :, None] + grid_offsets, dt)
+    dt, envelope = _midpoint_samples(pulse, steps)
+    u = star_product(b1, b2, envelope[:, None, None] + grid_offsets, dt)
     require_unitary(u, "propagator", EXTRACT_UNITARY_TOL)
     overlap = np.einsum("sp,ksp->k", target.matrix.conj(), _embed_stars(u, 1.0)[:, :4, :4])
     grid = (np.abs(overlap) ** 2 / 16.0).reshape(len(ratios1), len(ratios2))

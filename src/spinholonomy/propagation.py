@@ -6,14 +6,12 @@ so the propagator depends on time only through the accumulated pulse area
 total S_z and acts only on the two 3-state stars of ``spin_chain.STARS``,
 where each step has an exact closed form; the star layout itself (which
 chain states form a star, and how to read or embed star blocks) stays in
-``spin_chain``.  One evaluation route is built on the step and one
-independent oracle is kept:
-
-* :func:`propagator_closed_form` is one exact star step of width ``a_t``;
-  :func:`star_product` is the midpoint-rule product of such steps for
-  independently enveloped arms, which need not commute, for a whole stack;
-* :func:`propagator_time_ordered` is a brute-force midpoint-rule product of
-  per-step exponentials of any Hermitian parts, the test oracle.
+``spin_chain``.  Every propagator is built on that step:
+:func:`propagator_closed_form` is one exact star step of width ``a_t``, and
+:func:`star_product` is the midpoint-rule product of such steps for
+independently enveloped arms, which need not commute, for a whole stack.
+The tests keep the independent oracle, a midpoint-rule product of per-step
+exponentials of any Hermitian parts.
 
 A square pulse of amplitude ``Omega`` and duration ``tau`` realizes the gate
 when the cyclicity condition ``a_tau * omega = (2n + 1) * pi`` holds; only
@@ -24,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NonCyclicPulse, OutOfRange, ZeroCoupling
-from .linalg import CMatrix, expm_hermitian
+from .linalg import CMatrix
 from .spin_chain import HamiltonianSet, _embed_stars, _star_couplings
 
 #: Standard deviation of the gaussian envelope as a fraction of the duration.
@@ -222,17 +220,13 @@ def propagator_closed_form(h: HamiltonianSet, area: float) -> CMatrix:
     return _embed_stars(np.moveaxis(step, (0, 1), (-2, -1)), 1.0)
 
 
-Envelope = Callable[[float], float]
-
-
-def _midpoint_samples(envelopes: Sequence[Envelope], duration: float, steps: int):
-    """Step width ``dt`` and the ``(steps, len(envelopes))`` midpoint samples."""
+def _midpoint_samples(p: PulsePlan, steps: int):
+    """Step width ``dt`` and the ``(steps,)`` envelope samples at the step
+    midpoints of ``p``."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    dt = duration / steps
-    return dt, np.array(
-        [[float(env((i + 0.5) * dt)) for env in envelopes] for i in range(steps)]
-    )
+    dt = p.duration / steps
+    return dt, np.array([float(p.envelope((i + 0.5) * dt)) for i in range(steps)])
 
 
 def _runs(samples: np.ndarray):
@@ -264,29 +258,6 @@ def star_product(
     return np.moveaxis(u, (0, 1), (-2, -1))
 
 
-def propagator_time_ordered(
-    h_parts: Sequence[tuple[CMatrix, Envelope]],
-    duration: float,
-    steps: int = 200,
-) -> CMatrix:
-    """Midpoint-rule time-ordered product of per-step exponentials.
-
-    Each step exponentiates the instantaneous Hamiltonian
-    ``sum_p envelope_p(t_mid) * h_p`` sampled at the step midpoint; the
-    step unitaries are multiplied in time order.  Each envelope is sampled
-    once per step.  A run of consecutive steps whose envelope samples
-    coincide (square pulses, resolved plateaus) is one exponential over
-    the run's width, which is exact for a constant generator.
-    """
-    dt, values = _midpoint_samples([env for _, env in h_parts], duration, steps)
-    matrices = [np.asarray(m, dtype=np.complex128) for m, _ in h_parts]
-    u = np.eye(len(matrices[0]) if matrices else 1, dtype=np.complex128)
-    for i, run in _runs(values):
-        h_inst = sum((c * m for c, m in zip(values[i], matrices)), np.zeros_like(u))
-        u = expm_hermitian(h_inst, run * dt) @ u
-    return u
-
-
 __all__ = [
     "PulsePlan",
     "PULSE_SHAPES",
@@ -299,6 +270,5 @@ __all__ = [
     "solve_cyclic",
     "cyclicity_defect",
     "propagator_closed_form",
-    "propagator_time_ordered",
     "star_product",
 ]

@@ -1,9 +1,13 @@
-"""Shared test utilities: seeded random matrices and couplings, the
-Kronecker-built spin operators that the chain operators are checked
-against, the paper's factored-exchange-matrix oracle of the chain
-propagator, the plain stepped oracle of the amplitude-noise study, the
-dense and the bit-basis S_z-sector oracles of the hyperfine dephasing
-study, and the one-gate-at-a-time oracles of the stacked invariants."""
+"""Shared test utilities and the reference implementations that the
+package's routes are checked against, none of which the package runs:
+seeded random matrices and couplings, the Kronecker-built spin operators
+of the chain, the paper's factored-exchange-matrix oracle of the chain
+propagator, the midpoint-rule time-ordered product of per-step
+exponentials (the oracle of the star steps), the plain stepped oracle of
+the amplitude-noise study, the Kraus-family process fidelity, the dense
+and the bit-basis S_z-sector oracles of the hyperfine dephasing study, and
+the one-gate-at-a-time oracles of the stacked invariants with the
+Weyl-to-invariant map."""
 
 import itertools
 import math
@@ -15,7 +19,6 @@ from spinholonomy import (
     ExchangeCouplings,
     HyperfineBath,
     PolarCouplings,
-    QuantumChannel,
     WEYL_VERTICES,
     ZeroCoupling,
     analytic_entangler,
@@ -23,8 +26,6 @@ from spinholonomy import (
     couplings_to_polar,
     entangling_power,
     expm_hermitian,
-    process_fidelity,
-    propagator_time_ordered,
     square_pulse,
 )
 from spinholonomy.invariants import _PE_EQUATIONS, MAGIC_BASIS
@@ -187,6 +188,26 @@ def svd_propagator(c: ExchangeCouplings, area: float) -> np.ndarray:
     return u
 
 
+def propagator_time_ordered(h_parts, duration: float, steps: int = 200) -> np.ndarray:
+    """Midpoint-rule time-ordered product of per-step exponentials.
+
+    ``h_parts`` is a sequence of ``(h_p, envelope_p)``: each step
+    exponentiates ``sum_p envelope_p(t_mid) h_p`` sampled at the step
+    midpoint, and the step unitaries are multiplied in time order.  A run
+    of consecutive steps whose samples coincide (square pulses, plateaus)
+    is one exponential over the run's width, exact for a constant
+    generator.
+    """
+    dt = duration / steps
+    samples = [tuple(float(env((i + 0.5) * dt)) for _, env in h_parts) for i in range(steps)]
+    matrices = [np.asarray(h, dtype=np.complex128) for h, _ in h_parts]
+    u = np.eye(len(matrices[0]), dtype=np.complex128)
+    for values, run in itertools.groupby(samples):
+        h = sum(c * m for c, m in zip(values, matrices))
+        u = expm_hermitian(h, len(list(run)) * dt) @ u
+    return u
+
+
 def stepped_amplitude_fidelity(
     couplings: ExchangeCouplings, pulse, ratio1: float, ratio2: float, steps: int = 200
 ) -> float:
@@ -205,6 +226,14 @@ def stepped_amplitude_fidelity(
     polar = couplings_to_polar(couplings)
     target = analytic_entangler(polar.theta, polar.phi1, polar.phi2).matrix
     return float(abs(np.vdot(target, u[:4, :4])) ** 2 / 16.0)
+
+
+def kraus_fidelity(target, kraus: np.ndarray) -> float:
+    """Process fidelity ``sum_k |tr(V^dag M_k)|^2 / 16`` of a ``(K, 8, 8)``
+    Kraus family against the register gate ``target``, ``M_k`` the
+    ancilla-|0> blocks."""
+    overlaps = np.einsum("sp,ksp->k", target.matrix.conj(), kraus[:, :4, :4])
+    return float(np.sum(np.abs(overlaps) ** 2) / 16.0)
 
 
 def dense_hyperfine_hamiltonian(bath: HyperfineBath) -> np.ndarray:
@@ -237,8 +266,8 @@ def dense_dephasing_fidelity(
 ) -> float:
     """Process fidelity of one calibrated square pulse under the bath, by the
     dense route: the full chain-plus-bath generator parts stepped through
-    ``propagator_time_ordered``, then every Kraus operator
-    ``M_ij = <j|U|i> / sqrt(d_b)`` through ``process_fidelity``."""
+    :func:`propagator_time_ordered`, then every Kraus operator
+    ``M_ij = <j|U|i> / sqrt(d_b)`` through :func:`kraus_fidelity`."""
     polar = couplings_to_polar(couplings)
     pulse = square_pulse(math.pi / (bath.op_time * polar.omega), bath.op_time)
     d_b = bath.bath_dim
@@ -251,7 +280,7 @@ def dense_dephasing_fidelity(
     u4 = u.reshape(8, d_b, 8, d_b)
     kraus = np.transpose(u4, (1, 3, 0, 2)).reshape(d_b * d_b, 8, 8) / math.sqrt(d_b)
     target = analytic_entangler(polar.theta, polar.phi1, polar.phi2)
-    return process_fidelity(target, QuantumChannel(kraus=kraus))
+    return kraus_fidelity(target, kraus)
 
 
 def dense_pulse_generator(bath: HyperfineBath, couplings: ExchangeCouplings) -> np.ndarray:
@@ -415,6 +444,19 @@ def classify_oracle(weyl) -> str:
     if all(abs(x) <= 1e-9 for x in c):
         return "local"
     return "entangling"
+
+
+def invariants_from_weyl(c1: float, c2: float, c3: float) -> tuple[complex, float]:
+    """(G1, G2) evaluated from canonical coordinates.
+
+    ``G1 = (1/4) [e^{+i c3} cos(c1 - c2) + e^{-i c3} cos(c1 + c2)]^2`` and
+    ``G2 = cos(2 c1) + cos(2 c2) + cos(2 c3)``.
+    """
+    g1 = 0.25 * (
+        np.exp(1j * c3) * math.cos(c1 - c2) + np.exp(-1j * c3) * math.cos(c1 + c2)
+    ) ** 2
+    g2 = math.cos(2 * c1) + math.cos(2 * c2) + math.cos(2 * c3)
+    return complex(g1), g2
 
 
 def gate_metrics_oracle(u: np.ndarray) -> tuple:

@@ -15,12 +15,13 @@ import time
 
 import numpy as np
 
-from helpers import ancilla_ground_projector, random_couplings
+from helpers import ancilla_ground_projector, propagator_time_ordered, random_couplings
 from spinholonomy import (
     ExchangeCouplings,
     HyperfineBath,
     amplitude_noise_sweep,
     analytic_entangler,
+    arm_hamiltonians,
     build_hamiltonians,
     couplings_to_polar,
     dephasing_sweep,
@@ -31,7 +32,6 @@ from spinholonomy import (
     gaussian_pulse,
     makhlin_invariants,
     propagator_closed_form,
-    propagator_time_ordered,
     pulse_area,
     scaled_to_area,
     solve_cyclic,
@@ -40,6 +40,8 @@ from spinholonomy import (
     weyl_coordinates,
 )
 from spinholonomy.linalg import max_abs
+from spinholonomy.propagation import star_product
+from spinholonomy.spin_chain import _embed_stars, _star_couplings
 
 
 def report(num: int, ok: bool, detail: str):
@@ -148,10 +150,14 @@ def test_criterion_5_perfect_entangler_boundary():
 
 
 def test_criterion_6_pulse_shape_independence(rng):
+    # The three shapes of one coupling are stepped as one stack through the
+    # runtime route, both arms on the same envelope; tests/test_propagation.py
+    # compares the shapes through the time-ordered oracle.
+    steps = 4000
     worst = 0.0
     for _ in range(20):
         c = random_couplings(rng, min_omega=0.3)
-        ham = build_hamiltonians(c)
+        b1, b2 = (_star_couplings(h) for h in arm_hamiltonians(c))
         area = math.pi / couplings_to_polar(c).omega
         duration = float(rng.uniform(0.8, 1.5))
         nodes = np.linspace(0.0, duration, 17)
@@ -161,10 +167,10 @@ def test_criterion_6_pulse_shape_independence(rng):
             scaled_to_area(gaussian_pulse(1.0, duration), area),
             scaled_to_area(tabulated_pulse(list(zip(nodes, values))), area),
         ]
-        gates = [
-            propagator_time_ordered([(ham.h_eff, p.envelope)], duration, 4000)
-            for p in plans
-        ]
+        dt = duration / steps
+        envelopes = [[p.envelope((i + 0.5) * dt) for p in plans] for i in range(steps)]
+        coefficients = np.repeat(np.array(envelopes)[:, :, None], 2, axis=2)
+        gates = _embed_stars(star_product(b1, b2, coefficients, dt), 1.0)
         worst = max(worst, max_abs(gates[1] - gates[0]), max_abs(gates[2] - gates[0]))
     report(6, worst <= 1e-8, f"max cross-shape deviation {worst:.2e} (tol 1e-8)")
 

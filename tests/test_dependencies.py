@@ -1,6 +1,8 @@
 """The package imports and runs on numpy and the standard library alone,
-and no path, import included, builds a Kronecker product."""
+no path, import included, builds a Kronecker product, and only the
+dephasing engine exponentiates."""
 
+import ast
 import math
 import os
 import subprocess
@@ -99,3 +101,22 @@ def test_no_runtime_path_builds_a_kronecker_product(tmp_path, monkeypatch):
     bath = sh.HyperfineBath(total_coupling=0.0, op_time=1.0, nuclei_per_electron=1)
     dephasing = sh.dephasing_sweep(bath, [5.0], sh.ExchangeCouplings(1.0, 1.0))
     assert dephasing.fidelity.shape == (1,)
+
+
+def test_only_the_dephasing_engine_exponentiates():
+    # Every chain propagator is a star step, so within src/ only noise
+    # imports or names expm_hermitian (the package's __init__ re-exports
+    # it), and the time-ordered product and the Weyl-to-invariant map live
+    # in tests/helpers.py as oracles.
+    users, defined = set(), set()
+    for path in sorted(Path(sh.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            named = node.name if isinstance(node, ast.alias) else getattr(
+                node, "id", getattr(node, "attr", None)
+            )
+            if named == "expm_hermitian" and path.stem != "__init__":
+                users.add(path.stem)
+    assert users == {"noise"}
+    assert defined.isdisjoint({"propagator_time_ordered", "invariants_from_weyl"})

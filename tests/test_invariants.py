@@ -9,6 +9,7 @@ from helpers import (
     gate_metrics_oracle,
     haar_stack,
     haar_unitary,
+    invariants_from_weyl,
     local_product,
     makhlin_oracle,
     weyl_oracle,
@@ -22,7 +23,6 @@ from spinholonomy import (
     classify_entangler,
     entangling_power,
     gate_metrics,
-    invariants_from_weyl,
     makhlin_invariants,
     weyl_coordinates,
 )

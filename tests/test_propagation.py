@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_couplings, svd_propagator
+from helpers import propagator_time_ordered, random_couplings, svd_propagator
 from spinholonomy import (
     OutOfRange,
     ExchangeCouplings,
@@ -17,7 +17,6 @@ from spinholonomy import (
     expm_hermitian,
     gaussian_pulse,
     propagator_closed_form,
-    propagator_time_ordered,
     pulse_area,
     scaled_to_area,
     solve_cyclic,
