@@ -2,8 +2,10 @@
 
 Configuration is a flat JSON file; command-line flags override file
 values.  ``COMMANDS`` maps each command to the keys it reads besides
-``command`` and ``out``; a pulse reads ``shape``, ``winding`` and one key
-of its shape, and the cyclicity condition fixes the rest.  The read keys
+``command`` and ``out``.  The gate depends only on the loop the pulse
+closes, so a pulse reads ``shape``, ``winding`` and the key of its shape
+(the gaussian has none), the cyclicity condition fixes the rest, and
+``sweep-dm`` reads no shape: it runs the cyclic square pulse.  The read keys
 register the ``--format``, ``--grid`` and ``--steps`` flags and the
 ``classify`` matrix argument only where they act, refuse any other config
 key (so a typo or a setting that would change nothing fails loudly), and
@@ -28,7 +30,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,7 @@ from .noise import (
     dm_sweep,
 )
 from .propagation import (
+    PULSE_SHAPES,
     PulsePlan,
     _require_cyclic,
     gaussian_pulse,
@@ -69,7 +72,6 @@ class RunConfig:
     d2: float = 0.0
     shape: str = "square"
     amplitude: float = 1.0
-    duration: float = 1.0
     winding: int = 0
     samples: tuple[tuple[float, float], ...] | None = None
     d1_ratios: tuple[float, ...] = tuple(float(v) for v in range(1, 16))
@@ -96,9 +98,9 @@ _BYTES_PER_STEP = 256
 _BYTES_PER_STEP_PAIR = 24
 
 _COUPLING_KEYS = ("j1", "j2", "d1", "d2")
-_PULSE_KEY_SHAPE = {"amplitude": "square", "duration": "gaussian", "samples": "tabulated"}
+_PULSE_KEY_SHAPE = {"amplitude": "square", "samples": "tabulated"}
 _PULSE_KEYS = ("shape", "winding", *_PULSE_KEY_SHAPE)
-_FLOAT_KEYS = {"j1", "j2", "d1", "d2", "amplitude", "duration"}
+_FLOAT_KEYS = {"j1", "j2", "d1", "d2", "amplitude"}
 _INT_KEYS = {"winding", "nuclei_per_electron", "grid", "steps"}
 _LIST_KEYS = {"d1_ratios", "d2_ratios", "ratios1", "ratios2", "lambdas"}
 _STR_KEYS = {"command", "shape", "matrix", "out", "format"}
@@ -143,7 +145,9 @@ def load_config_file(path: str) -> dict:
 def read_keys(command: str, shape: str) -> tuple[str, ...]:
     """The keys ``command`` reads besides ``command`` and ``out`` for ``shape``."""
     keys = COMMANDS[command][1]
-    if "shape" in keys and shape not in _PULSE_KEY_SHAPE.values():
+    if "shape" not in keys:  # sweep-dm: one pulse, whatever the shape
+        return keys
+    if shape not in PULSE_SHAPES:
         raise ConfigError(f"field 'shape': unknown shape {shape!r}")
     return tuple(k for k in keys if _PULSE_KEY_SHAPE.get(k, shape) == shape)
 
@@ -194,8 +198,7 @@ def config_payload(cfg: RunConfig) -> dict:
 
 def _out_path(cfg: RunConfig, suffix: str) -> Path:
     path = Path(cfg.out + suffix)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -209,9 +212,8 @@ def _build_pulse(cfg: RunConfig, omega: float) -> PulsePlan:
         return solve_cyclic(omega, cfg.amplitude, cfg.winding)
     # A unit-amplitude cyclic square pulse lasts exactly the cyclic area.
     area = solve_cyclic(omega, 1.0, cfg.winding).duration
-    if cfg.shape == "gaussian":
-        return scaled_to_area(gaussian_pulse(1.0, cfg.duration), area)
-    return scaled_to_area(tabulated_pulse(cfg.samples), area)
+    unit = gaussian_pulse(1.0, 1.0) if cfg.shape == "gaussian" else tabulated_pulse(cfg.samples)
+    return scaled_to_area(unit, area)
 
 
 def _complex_grid(matrix: np.ndarray) -> dict:
@@ -253,13 +255,8 @@ def cmd_gate(cfg: RunConfig) -> int:
     deviation = max_abs(gate.matrix - ideal.matrix)
     metrics = gate_metrics(gate.matrix)
     payload = {
-        "couplings": {"j1": cfg.j1, "j2": cfg.j2, "d1": cfg.d1, "d2": cfg.d2},
-        "polar": {
-            "omega": polar.omega,
-            "theta": polar.theta,
-            "phi1": polar.phi1,
-            "phi2": polar.phi2,
-        },
+        "couplings": asdict(couplings),
+        "polar": asdict(polar),
         "pulse": {
             "shape": pulse.shape,
             "amplitude": pulse.amplitude,
@@ -281,19 +278,19 @@ def cmd_gate(cfg: RunConfig) -> int:
 
 
 def _emit_sweep(cfg: RunConfig, header, rows, axes, values, labels) -> int:
-    """Write a sweep's CSV and sidecar, then its JSON records or its SVG
-    plot of ``values`` over ``axes``: a line for one axis, a heatmap for
-    two.  ``labels`` name the x axis, then the y axis or the curve."""
+    """Write a sweep's SVG plot of ``values`` over ``axes`` first (a line for
+    one axis, a heatmap for two; a failed plot writes nothing), then its CSV,
+    sidecar and JSON records.  ``labels`` name the x and y axes."""
     rows = list(rows)
+    if cfg.format == "svg":
+        plot = reports.line_svg if len(axes) == 1 else reports.heatmap_svg
+        plot(_out_path(cfg, ".svg"), *axes, values, *labels)
     reports.write_csv(_out_path(cfg, ".csv"), header, rows)
     _write_sidecar(cfg)
     if cfg.format == "json":
         reports.write_json(
             _out_path(cfg, ".json"), [dict(zip(header, row)) for row in rows]
         )
-    if cfg.format == "svg":
-        plot = reports.line_svg if len(axes) == 1 else reports.heatmap_svg
-        plot(_out_path(cfg, ".svg"), *axes, values, *labels)
     print(f"wrote {_out_path(cfg, '.csv')} ({len(rows)} rows)")
     return 0
 
@@ -313,7 +310,7 @@ def cmd_sweep_dm(cfg: RunConfig) -> int:
     if cfg.j1 != cfg.j2:
         raise ConfigError("sweep-dm requires j1 == j2 (symmetric working point)")
     omega_xy = couplings_to_polar(ExchangeCouplings(j1=cfg.j1, j2=cfg.j2)).omega
-    pulse = _build_pulse(cfg, omega_xy)
+    pulse = solve_cyclic(omega_xy, cfg.amplitude, cfg.winding)
     t = dm_sweep(cfg.j1, cfg.j2, cfg.d1_ratios, cfg.d2_ratios, pulse)
     header = [*t.axis_names, "fidelity"]
     return _emit_sweep(cfg, header, t.rows(), t.axis_values, t.fidelity, ("d₁", "d₂"))
@@ -375,9 +372,10 @@ def cmd_classify(cfg: RunConfig) -> int:
 COMMANDS = {
     "gate": (cmd_gate, _COUPLING_KEYS + _PULSE_KEYS),
     "sweep-theta": (cmd_sweep_theta, ("grid", "format")),
+    # sweep-dm reads no shape: its fidelity depends on the winding alone.
     "sweep-dm": (
         cmd_sweep_dm,
-        ("j1", "j2", *_PULSE_KEYS, "d1_ratios", "d2_ratios", "format"),
+        ("j1", "j2", "winding", "amplitude", "d1_ratios", "d2_ratios", "format"),
     ),
     "sweep-noise": (
         cmd_sweep_noise,

@@ -24,8 +24,6 @@ import numpy as np
 
 from .linalg import CMatrix, require_unitary
 
-EXTRACT_UNITARY_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class RegisterGate:
@@ -51,7 +49,7 @@ def extract_register_gate(u_full: CMatrix) -> RegisterGate:
         non-finite entry.
     """
     u_full = np.asarray(u_full, dtype=np.complex128)
-    require_unitary(u_full, "propagator", EXTRACT_UNITARY_TOL)
+    require_unitary(u_full, "propagator")
     block = u_full[:4, :4].copy()
     smin = np.linalg.svd(block, compute_uv=False).min()
     return RegisterGate(matrix=block, leakage=max(0.0, 1.0 - smin * smin))

@@ -70,7 +70,6 @@ ENTANGLING = "entangling"
 PERFECT = "perfect"
 SPECIAL_PERFECT = "special_perfect"
 
-INVARIANT_UNITARY_TOL = 1e-10
 CHAMBER_TOL = 1e-9
 
 MAX_ENTANGLING_POWER = 2.0 / 9.0
@@ -115,7 +114,7 @@ def _require_unitary(u: CMatrix, what: str) -> np.ndarray:
             f"{what} has non-finite entries" if not math.isfinite(largest)
             else f"{what} has an entry of modulus {largest:.3e}; a unitary's are at most 1"
         )
-    require_unitary(stack, what, INVARIANT_UNITARY_TOL)
+    require_unitary(stack, what)
     return stack
 
 

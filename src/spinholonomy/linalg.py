@@ -6,8 +6,8 @@ which stays real through its eigendecomposition.  Matrices in this
 package are 4x4, 8x8, or halves of the S_z blocks of the system-plus-bath,
 zero-padded to a few sizes (at most 27 for the default hyperfine bath);
 double precision leaves orders of magnitude of headroom at these sizes,
-so tolerances are fixed once: 1e-12 for algebraic identities, 1e-8 for
-stepped-versus-exact propagators.
+so tolerances are fixed once: 1e-12 for Hermiticity and algebraic
+identities, 1e-10 for unitarity, 1e-8 for stepped-versus-exact propagators.
 At run time :func:`expm_hermitian` serves only the dephasing size classes
 (``noise``); every chain propagator is a closed-form star step, and no
 path builds a Kronecker product: the chain operators are written
@@ -25,6 +25,7 @@ from .errors import NonHermitianInput, NonUnitaryInput
 CMatrix = np.ndarray
 
 HERMITIAN_TOL = 1e-12
+UNITARY_TOL = 1e-10
 
 
 def dagger(m: CMatrix) -> CMatrix:
@@ -48,11 +49,11 @@ def unitarity_defect(u: CMatrix) -> float:
     return max_abs(dagger(u) @ u - np.eye(u.shape[-1]))
 
 
-def require_unitary(u: CMatrix, what: str, tol: float) -> None:
+def require_unitary(u: CMatrix, what: str) -> None:
     """Raise :class:`NonUnitaryInput` unless ``u``, one matrix or a stack,
-    is unitary within ``tol``; a non-finite entry always fails."""
+    is unitary within ``UNITARY_TOL``; a non-finite entry always fails."""
     defect = unitarity_defect(u)
-    if not defect <= tol:
+    if not defect <= UNITARY_TOL:
         raise NonUnitaryInput(
             f"{what} has non-finite entries" if not np.isfinite(u).all()
             else f"{what} deviates from unitarity by {defect:.3e}"

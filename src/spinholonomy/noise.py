@@ -66,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionOverflow, NonUnitaryTarget
-from .gates import EXTRACT_UNITARY_TOL, RegisterGate, analytic_entangler, extract_register_gate
+from .gates import RegisterGate, analytic_entangler, extract_register_gate
 from .linalg import expm_hermitian, require_unitary, unitarity_defect
 from .propagation import (
     PulsePlan,
@@ -315,7 +315,7 @@ def amplitude_noise_sweep(
     grid_offsets = np.array([(a, b) for a in offsets[0] for b in offsets[1]]).reshape(-1, 2)
     dt, envelope = _midpoint_samples(pulse, steps)
     u = star_product(b1, b2, envelope[:, None, None] + grid_offsets, dt)
-    require_unitary(u, "propagator", EXTRACT_UNITARY_TOL)
+    require_unitary(u, "propagator")
     overlap = np.einsum("sp,ksp->k", target.matrix.conj(), _embed_stars(u, 1.0)[:, :4, :4])
     grid = (np.abs(overlap) ** 2 / 16.0).reshape(len(ratios1), len(ratios2))
     return SweepTable(

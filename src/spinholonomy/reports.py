@@ -130,9 +130,12 @@ def _color(t: float) -> str:
 
 
 def line_svg(path, x, y, xlabel: str, ylabel: str) -> None:
-    """Single-curve line plot on fixed 800x600 canvas."""
+    """Single-curve line plot on fixed 800x600 canvas; refuses a non-finite point."""
     x = [float(v) for v in x]
     y = [float(v) for v in y]
+    for label, value in [(xlabel, v) for v in x] + [(ylabel, v) for v in y]:
+        if not math.isfinite(value):
+            raise ValueError(f"cannot place {label} = {value!r} on a line plot")
     xlo, xhi = min(x), max(x)
     ylo, yhi = min(y), max(y)
     if math.isclose(ylo, yhi):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from spinholonomy import reports
 from spinholonomy.cli import (
     COMMANDS,
     RunConfig,
@@ -73,7 +74,6 @@ def test_gate_eighth_pi_boundary(tmp_path):
     [
         ({"shape": "tabulated", "samples": [[0.0, 1.0], [math.nan, 1.0]]}, "samples"),
         ({"amplitude": math.nan}, "amplitude"),
-        ({"shape": "gaussian", "duration": math.nan}, "duration"),
     ],
 )
 def test_gate_non_finite_pulse_exits_3(tmp_path, capsys, config, cause):
@@ -98,28 +98,21 @@ def test_overflowing_cyclic_duration_exits_3(tmp_path, capsys, command, config, 
     assert list(tmp_path.glob("out*")) == []
 
 
-@pytest.mark.parametrize("command", ["gate", "sweep-dm", "sweep-noise"])
-def test_vanishing_gaussian_width_exits_3(tmp_path, capsys, command):
-    # duration / 8 rounds to 0: the pulse is refused where it is built.
-    assert run(tmp_path, command, {"shape": "gaussian", "duration": 5e-324}) == 3
-    assert "gaussian width duration / 8 rounds to 0 at duration 5e-324" in capsys.readouterr().err
-    assert list(tmp_path.glob("out*")) == []
-
-
 def test_gate_square_duration_exits_2(tmp_path, capsys):
-    # The cyclicity condition fixes a square pulse's duration: it is not a setting.
+    # No pulse reads a duration: the cyclicity condition fixes a square
+    # pulse's, and the gaussian is the unit one scaled to the cyclic area.
     assert run(tmp_path, "gate", {"duration": 2.0}) == 2
     assert "gate does not read keys ['duration']" in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []
 
 
 def test_gate_gaussian_is_calibrated(tmp_path):
-    # A duration that is not cyclic at peak 1 is scaled to the cyclic area.
-    assert run(tmp_path, "gate", {"shape": "gaussian", "duration": 3.0}) == 0
+    # The unit gaussian on [0, 1] is scaled to the cyclic area.
+    assert run(tmp_path, "gate", {"shape": "gaussian"}) == 0
     report = json.loads((tmp_path / "out.json").read_text())
     omega = report["polar"]["omega"]
     assert abs(report["pulse"]["area"] * omega - math.pi) <= 1e-12
-    assert report["pulse"]["duration"] == 3.0
+    assert report["pulse"]["duration"] == 1.0
     assert report["deviation_from_analytic"] <= 1e-9
     assert report["leakage"] <= 1e-10
 
@@ -190,6 +183,28 @@ def test_sweep_dephasing_ascending(tmp_path):
     assert len(fids) == 3
     assert all(b - a >= -1e-6 for a, b in zip(fids, fids[1:]))
     assert (tmp_path / "out.svg").exists()
+
+
+@pytest.mark.parametrize("fmt, code", [("svg", 3), ("csv", 0), ("json", 0)])
+def test_sweep_dephasing_infinite_lambda(tmp_path, capsys, fmt, code):
+    # The line plot places points by value, so it cannot draw lambda = inf
+    # and the svg run is refused before any file is written; the csv and
+    # json formats write the row (the bath phase N / lambda is 0).
+    (tmp_path / "cfg.json").write_text('{"lambdas": [1, 1e309]}')
+    argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    assert main(["sweep-dephasing", *argv, "--format", fmt]) == code
+    if code:
+        assert "cannot place λ = inf on a line plot" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+    else:
+        _, rows = read_csv(tmp_path)
+        assert [row[0] for row in rows] == ["1", "inf"] and float(rows[1][1]) == 1.0
+
+
+def test_line_plot_refuses_non_finite_values(tmp_path):
+    with pytest.raises(ValueError, match=r"cannot place fidelity = nan on a line plot"):
+        reports.line_svg(tmp_path / "p.svg", [1.0, 2.0], [0.5, math.nan], "λ", "fidelity")
+    assert not (tmp_path / "p.svg").exists()
 
 
 # --- classify ---------------------------------------------------------------
@@ -299,7 +314,7 @@ def test_sidecar_round_trips(tmp_path):
     # Fed back as the config, each sidecar reproduces itself and the report.
     cases = [
         ("gate", {"j1": 1.5, "j2": 1.5, "amplitude": 0.7, "winding": 2}, "out.json"),
-        ("gate", {"shape": "gaussian", "duration": 2.0, "winding": 1}, "out.json"),
+        ("gate", {"shape": "gaussian", "winding": 1}, "out.json"),
         ("sweep-theta", {"grid": 9, "format": "svg"}, "out.svg"),
         ("sweep-dm", {"d1_ratios": [2.0], "d2_ratios": [1.0, 3.0]}, "out.csv"),
         ("sweep-noise", {"ratios1": [20.0], "ratios2": [30.0], "steps": 5}, "out.csv"),
@@ -413,9 +428,10 @@ def test_sweep_noise_overflowing_offset_exits_3(tmp_path, capsys):
 
 
 def test_sweep_noise_offset_phase_overflow_exits_3(tmp_path, capsys):
-    # The offset amplitude / 1e-160 is finite, but its phase over a pulse of
-    # duration 1e200 is not; it is refused by name, without a numpy warning.
-    config = {"shape": "gaussian", "winding": 1e150, "duration": 1e200, "ratios2": [1e-160]}
+    # The offset amplitude / 1e-160 = 1e110 is finite, but its phase over
+    # the cyclic pulse of duration about 1e200 is not; it is refused by
+    # name, without a numpy warning.
+    config = {"amplitude": 1e-50, "winding": 1e150, "ratios2": [1e-160]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(tmp_path, "sweep-noise", config) == 3
@@ -484,7 +500,7 @@ REMOVED = ("op_time", "dim_cap")
 # on N and lambda alone.
 DEPHASING_COUPLINGS = ("j1", "j2", "d1", "d2")
 # A valid value other than the default for every config key, and a value
-# for each removed key.
+# for each removed key (``duration`` among them).
 NON_DEFAULT = {
     "j1": 1.5,
     "j2": 1.5,
@@ -508,41 +524,64 @@ NON_DEFAULT = {
     "grid": 11,
     "steps": 7,
 }
-# Besides ``shape`` and ``winding``, a pulse reads the one key of its shape.
-OWN_KEY = {"square": "amplitude", "gaussian": "duration", "tabulated": "samples"}
-SHAPE_OF = {key: shape for shape, key in OWN_KEY.items()}
+# The envelope keys a config may name.  Besides ``shape`` and ``winding``,
+# a square pulse reads ``amplitude``, a tabulated one ``samples`` and a
+# gaussian none: its ``duration`` moved no fidelity, and no shape reads it.
+ENVELOPE_KEYS = ("amplitude", "duration", "samples")
+OWN_KEY = {"square": "amplitude", "gaussian": None, "tabulated": "samples"}
+SHAPE_OF = {key: shape for shape, key in OWN_KEY.items() if key}
+OWN_CONFIG = {shape: {key: NON_DEFAULT[key]} if key else {} for shape, key in OWN_KEY.items()}
 PULSE_COMMANDS = ["gate", "sweep-dm", "sweep-noise"]
+# The (command, key) pairs whose key moved no fidelity and is no longer
+# read: the gaussian's duration, and sweep-dm's envelope, since its
+# fidelity depends on the loop alone.
+PULSE_REMOVED = [
+    ("gate", "duration"),
+    ("sweep-dm", "shape"),
+    ("sweep-dm", "duration"),
+    ("sweep-dm", "samples"),
+    ("sweep-noise", "duration"),
+]
 # (command, key) pairs read for some shape, and those read for no shape;
-# the keys sweep-dephasing no longer reads come last, so that the other
-# pairs keep their places (and their test ids).
+# the keys sweep-dephasing and the pulses no longer read come last, so that
+# the other pairs keep their places (and their test ids).
 READ = [(c, k) for c, (_, keys) in COMMANDS.items() for k in keys]
 DEPHASING_REMOVED = [("sweep-dephasing", k) for k in (*REMOVED, *DEPHASING_COUPLINGS)]
 UNREAD = [
-    (c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in READ + DEPHASING_REMOVED
-] + DEPHASING_REMOVED
-# Per shape: the keys of the two other shapes are refused.
+    (c, k)
+    for c in COMMANDS
+    for k in NON_DEFAULT
+    if (c, k) not in READ + DEPHASING_REMOVED + PULSE_REMOVED
+] + DEPHASING_REMOVED + PULSE_REMOVED
+# Per shape: every envelope key but its own is refused.
 OTHER_SHAPE_KEYS = [
     (shape, command, key)
     for shape in OWN_KEY
     for command in PULSE_COMMANDS
-    for key in OWN_KEY.values()
+    for key in ENVELOPE_KEYS
     if key != OWN_KEY[shape]
 ]
 
 
 def test_key_table_covers_every_setting():
     settable = {f.name for f in fields(RunConfig)} - {"command", "out"}
-    assert set(NON_DEFAULT) == settable | set(REMOVED) and not settable & set(REMOVED)
+    removed = {*REMOVED, "duration"}
+    assert set(NON_DEFAULT) == settable | removed and not settable & removed
     assert all(k in settable for _, k in READ)
-    assert (len(READ), len(UNREAD)) == (38, 88)
+    assert not set(READ) & set(PULSE_REMOVED)
+    assert (len(READ), len(UNREAD)) == (33, 93)
     assert COMMANDS["sweep-dephasing"][1] == ("lambdas", "nuclei_per_electron", "format")
+    dm_keys = ("j1", "j2", "winding", "amplitude", "d1_ratios", "d2_ratios", "format")
+    assert COMMANDS["sweep-dm"][1] == dm_keys
+    counts = {"square": (31, 95), "gaussian": (29, 97), "tabulated": (31, 95)}
     for shape, own in OWN_KEY.items():
         read = [(c, k) for c in COMMANDS for k in read_keys(c, shape)]
         unread = [(c, k) for c in COMMANDS for k in NON_DEFAULT if (c, k) not in read]
-        assert (len(read), len(unread)) == (32, 94)
-        for command in PULSE_COMMANDS:
-            pulse = set(read_keys(command, shape)) & {"shape", "winding", *OWN_KEY.values()}
-            assert pulse == {"shape", "winding", own}
+        assert (len(read), len(unread)) == counts[shape]
+        assert read_keys("sweep-dm", shape) == dm_keys
+        for command in ("gate", "sweep-noise"):
+            pulse = set(read_keys(command, shape)) & {"shape", "winding", *ENVELOPE_KEYS}
+            assert pulse == {"shape", "winding", own} - {None}
 
 
 @pytest.mark.parametrize(
@@ -563,7 +602,7 @@ def test_unread_config_key_exits_2(tmp_path, capsys, command, key, value):
 @pytest.mark.parametrize("command, key", READ)
 def test_read_config_key_accepted_and_recorded(tmp_path, command, key):
     config = {key: NON_DEFAULT[key]}
-    if key in SHAPE_OF:
+    if key in SHAPE_OF and (command, "shape") in READ:
         config["shape"] = SHAPE_OF[key]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -595,9 +634,13 @@ def test_empty_sweep_axis_exits_2(tmp_path, capsys, command, key, fmt):
     ids=[f"{s}-{c}-{k}" for s, c, k in OTHER_SHAPE_KEYS],
 )
 def test_other_shape_pulse_key_exits_2(tmp_path, capsys, shape, command, key):
-    config = {"shape": shape, OWN_KEY[shape]: NON_DEFAULT[OWN_KEY[shape]], key: NON_DEFAULT[key]}
+    config = {"shape": shape, key: NON_DEFAULT[key], **OWN_CONFIG[shape]}
     assert run(tmp_path, command, config) == 2
-    assert f"{command} does not read keys [{key!r}]" in capsys.readouterr().err
+    # sweep-dm reads no shape: it refuses the shape too, and reads
+    # ``amplitude`` whatever the shape.
+    keys = COMMANDS[command][1]
+    refused = [key] if "shape" in keys else sorted(set(config) - set(keys))
+    assert f"{command} does not read keys {refused}" in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []
 
 
@@ -608,18 +651,25 @@ SMALL_AXES = {
 }
 
 
-@pytest.mark.parametrize("command", PULSE_COMMANDS)
-@pytest.mark.parametrize("shape", list(OWN_KEY))
+# Each shape with each pulse command that reads a shape; sweep-dm reads
+# none and runs the square pulse.
+SHAPE_RUNS = [
+    (shape, command)
+    for command in PULSE_COMMANDS
+    for shape in OWN_KEY
+    if (command, "shape") in READ or shape == "square"
+]
+
+
+@pytest.mark.parametrize("shape, command", SHAPE_RUNS, ids=[f"{s}-{c}" for s, c in SHAPE_RUNS])
 def test_own_pulse_keys_run_and_are_recorded(tmp_path, shape, command):
-    # Every shape runs every pulse command to exit 0, calibrated.
-    own = OWN_KEY[shape]
-    config = {"shape": shape, "winding": 1, own: NON_DEFAULT[own], **SMALL_AXES[command]}
-    assert run(tmp_path, command, config) == 0
+    # Every shape runs every pulse command that reads it to exit 0, calibrated.
+    pulse = {"shape": shape, "winding": 1, **OWN_CONFIG[shape]}
+    pulse = {k: v for k, v in pulse.items() if (command, k) in READ}
+    assert run(tmp_path, command, {**pulse, **SMALL_AXES[command]}) == 0
     sidecar = json.loads((tmp_path / "out.config.json").read_text())
-    assert {k: sidecar[k] for k in ("shape", "winding", own)} == {
-        "shape": shape, "winding": 1, own: NON_DEFAULT[own]
-    }
-    assert not (set(OWN_KEY.values()) - {own}) & set(sidecar)
+    assert {k: sidecar[k] for k in pulse} == pulse
+    assert not (set(ENVELOPE_KEYS) - set(pulse)) & set(sidecar)
 
 
 @pytest.mark.parametrize("command", PULSE_COMMANDS)
@@ -635,7 +685,12 @@ def test_own_pulse_keys_run_and_are_recorded(tmp_path, shape, command):
 )
 def test_bad_pulse_config_exits_2(tmp_path, capsys, command, config, field):
     assert run(tmp_path, command, config) == 2
-    assert f"field {field!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if "shape" in config and (command, "shape") not in READ:
+        # sweep-dm reads no shape: it refuses any shape before the pulse is read.
+        assert f"{command} does not read keys [" in err and "'shape'" in err
+    else:
+        assert f"field {field!r}" in err
     assert list(tmp_path.glob("out*")) == []
 
 
@@ -678,6 +733,65 @@ def test_non_finite_values_written_as_strict_json(tmp_path):
     assert (tmp_path / "out.config.json").read_bytes() == sidecar
 
 
+# --- every read key acts ------------------------------------------------------
+
+# Read keys that move no fidelity beyond roundoff, kept only because the
+# benchmark's configs send them; ROADMAP item 9 removes them with the
+# benchmark.  On the default grids j1 = j2 = 0.37 moves sweep-dm by 1.2e-15,
+# amplitude 3.7 moves sweep-dm by 0 and sweep-noise by 8.9e-16.
+NO_OP_KEYS = {
+    ("sweep-dm", "j1"): "ROADMAP item 9: F depends on the DM ratios and the winding alone",
+    ("sweep-dm", "j2"): "ROADMAP item 9: F depends on the DM ratios and the winding alone",
+    ("sweep-dm", "amplitude"): "ROADMAP item 9: the cyclic area fixes the gate",
+    ("sweep-noise", "amplitude"): "ROADMAP item 9: the offsets scale with the amplitude",
+}
+# Small base configs, each value other than NON_DEFAULT's.
+SWEEP_BASES = {
+    "sweep-theta": {"grid": 5},
+    "sweep-dm": {"d1_ratios": [5.0], "d2_ratios": [7.0]},
+    "sweep-noise": {"ratios1": [40.0], "ratios2": [60.0], "steps": 5},
+    "sweep-dephasing": {"lambdas": [8.0]},
+}
+
+
+def _value_column(work, command, config):
+    """The fidelity (or, for sweep-theta, ep) column of one in-process run."""
+    work.mkdir(parents=True)
+    assert run(work, command, config) == 0
+    header, rows = read_csv(work)
+    column = header.index("fidelity" if "fidelity" in header else "ep")
+    return np.array([float(row[column]) for row in rows])
+
+
+def test_every_read_sweep_key_moves_the_fidelity(tmp_path):
+    # The key table's rule: a read key must change the result.  Each key is
+    # changed alone from a base config; a shape's own key under its shape,
+    # and steps under a gaussian (the square's merged steps ignore it).
+    # sweep-dm admits only j1 == j2, so its couplings move together.
+    moved = {}
+    for command, base in SWEEP_BASES.items():
+        for key in COMMANDS[command][1]:
+            if key == "format":
+                continue
+            shape = {**SHAPE_OF, "steps": "gaussian"}.get(key, "square")
+            start = {**base, "shape": shape} if (command, "shape") in READ else dict(base)
+            if shape == "tabulated":
+                start["samples"] = [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0]]
+            change = {key: NON_DEFAULT[key]}
+            if command == "sweep-dm" and key in ("j1", "j2"):
+                change = {"j1": NON_DEFAULT[key], "j2": NON_DEFAULT[key]}
+            work = tmp_path / f"{command}-{key}"
+            before = _value_column(work / "base", command, start)
+            after = _value_column(work / "changed", command, {**start, **change})
+            moved[command, key] = (
+                len(before) != len(after) or float(np.max(np.abs(after - before))) > 1e-12
+            )
+    still = sorted(pair for pair, acts in moved.items() if not acts and pair not in NO_OP_KEYS)
+    assert still == [], f"read keys that change nothing: {still}"
+    # An exempt key that starts to act leaves the table.
+    assert not [pair for pair in NO_OP_KEYS if moved[pair]]
+
+
 # --- calibration ------------------------------------------------------------
 
 coupling = st.floats(-2.0, 2.0)
@@ -698,17 +812,14 @@ def sample_lists(draw):
     shape=st.sampled_from(sorted(OWN_KEY)),
     winding=st.integers(0, 3),
     amplitude=st.floats(0.1, 5.0),
-    duration=st.floats(0.1, 10.0),
     samples=sample_lists(),
 )
-def test_calibrated_gate_matches_analytic(
-    j1, j2, d1, d2, shape, winding, amplitude, duration, samples
-):
+def test_calibrated_gate_matches_analytic(j1, j2, d1, d2, shape, winding, amplitude, samples):
     # Criterion 2's tolerances, for every shape at its own key's value.
     couplings = {"j1": j1, "j2": j2, "d1": d1, "d2": d2}
     assume(math.hypot(j1, j2, d1, d2) / 2 >= 0.1)  # omega = |(alpha1, alpha2)|
-    own = {"square": amplitude, "gaussian": duration, "tabulated": samples}[shape]
-    config = {**couplings, "shape": shape, "winding": winding, OWN_KEY[shape]: own}
+    own = {"square": {"amplitude": amplitude}, "gaussian": {}, "tabulated": {"samples": samples}}
+    config = {**couplings, "shape": shape, "winding": winding, **own[shape]}
     with tempfile.TemporaryDirectory() as work:
         cfg_path = Path(work) / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -814,16 +925,13 @@ def _finite_metrics(payload) -> bool:
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=edge_configs())
-@example(case=("gate", {"shape": "gaussian", "duration": 5e-324}))
-@example(case=("sweep-dm", {"shape": "gaussian", "duration": 5e-324}))
-@example(case=("sweep-noise", {"shape": "gaussian", "duration": 5e-324}))
 @example(case=("sweep-dephasing", {"lambdas": [5e-324], "op_time": 1e200}))
 @example(case=("sweep-dephasing", {"nuclei_per_electron": 3, "lambdas": [1e308]}))
 @example(case=("sweep-dephasing", {"nuclei_per_electron": 7}))  # the memory check
 @example(
     case=(
         "sweep-noise",
-        {"shape": "gaussian", "winding": 1e150, "duration": 1e200, "ratios2": [1e-160]},
+        {"amplitude": 1e-50, "winding": 1e150, "ratios2": [1e-160]},
     )
 )
 # Found by this test: an overflowing DM strength, an amplitude * omega that

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -497,6 +498,27 @@ def test_lower_blocks_mirror_their_partners(nuclei):
             exchanged = _block_generators(nuclei, image, _exchange_image(triple)[states])
             for got, want in zip(exchanged, _block_generators(nuclei, triple, states)):
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nuclei", [1, 2, 3, 4, 5, 6])
+def test_block_spectra_have_closed_forms(nuclei):
+    # Addition of angular momenta (Sakurai & Napolitano, ch. 3): the three
+    # terms of the unit contact (1/N) sum_k S_k . J_k commute, and S_k . J_k
+    # is j_k/2 on 2j_k + 2 states and -(j_k + 1)/2 on 2j_k, so the union of
+    # a triple's contact block spectra is the multiset of the sums.  The
+    # drive acts on the chain alone: the chain's spectrum, n_b times.
+    chain = np.linalg.eigvalsh(build_hamiltonians(SYM).h_eff.real)
+    for triple in _triples(nuclei):
+        twice_j, nb, order, dims = triple[0], triple[1], triple[4], triple[5]
+        drive, contact = [], []
+        for states in np.split(order, np.cumsum(dims)[:-1]):
+            block_drive, block_contact = _block_generators(nuclei, triple, states)
+            drive.extend(np.linalg.eigvalsh(block_drive))
+            contact.extend(np.linalg.eigvalsh(block_contact))
+        levels = [[tj / 4] * (tj + 2) + [-(tj + 2) / 4] * tj for tj in twice_j]
+        sums = [sum(values) / nuclei for values in itertools.product(*levels)]
+        assert max_abs(np.sort(contact) - np.sort(sums)) <= 1e-12, twice_j
+        assert max_abs(np.sort(drive) - np.sort(np.tile(chain, nb))) <= 1e-12, twice_j
 
 
 @pytest.mark.parametrize("nuclei", [1, 2, 3])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,20 @@ def test_doubling_steps_improves_convergence(rng):
         ]
         improved.append(dev[0] / dev[1])
     assert min(improved) >= 3.0
+
+
+@pytest.mark.parametrize(
+    "duration, message",
+    [
+        (5e-324, "gaussian width duration / 8 rounds to 0 at duration 5e-324"),
+        (math.nan, "pulse duration must be positive and finite, got nan"),
+    ],
+    ids=["vanishing-width", "nan"],
+)
+def test_gaussian_duration_is_checked_where_built(duration, message):
+    # The CLI's gaussian is the unit one; a library caller still sets the duration.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gaussian_pulse(1.0, duration)
 
 
 def test_pulse_plan_validation():

@@ -35,7 +35,7 @@ def test_keys_per_command_table_matches_cli():
 
     groups = {
         "couplings": ["j1", "j2", "d1", "d2"],
-        "pulse": ["shape", "winding", "amplitude", "duration", "samples"],
+        "pulse": ["shape", "winding", "amplitude", "samples"],
     }
     section = README.read_text(encoding="utf-8").split("Keys per command", 1)[1]
     rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|\s*$", section.split("\n\n", 2)[1], flags=re.M)
