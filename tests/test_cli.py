@@ -106,6 +106,20 @@ def test_gate_square_duration_exits_2(tmp_path, capsys):
     assert list(tmp_path.glob("out*")) == []
 
 
+@pytest.mark.parametrize(
+    "command, unread",
+    [("gate", "['duration']"), ("sweep-dm", "['duration', 'shape']"), ("sweep-noise", "['duration']")],
+    ids=["gate", "sweep-dm", "sweep-noise"],
+)
+def test_vanishing_gaussian_duration_exits_2(tmp_path, capsys, command, unread):
+    # A duration whose width duration / 8 rounds to 0 is refused as unread
+    # before any pulse is built; gaussian_pulse's own check is tested in
+    # test_propagation.
+    assert run(tmp_path, command, {"shape": "gaussian", "duration": 5e-324}) == 2
+    assert f"{command} does not read keys {unread}" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_gate_gaussian_is_calibrated(tmp_path):
     # The unit gaussian on [0, 1] is scaled to the cyclic area.
     assert run(tmp_path, "gate", {"shape": "gaussian"}) == 0
