@@ -108,7 +108,11 @@ def test_gate_square_duration_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, unread",
-    [("gate", "['duration']"), ("sweep-dm", "['duration', 'shape']"), ("sweep-noise", "['duration']")],
+    [
+        ("gate", "['duration']"),
+        ("sweep-dm", "['duration', 'shape']"),
+        ("sweep-noise", "['duration']"),
+    ],
     ids=["gate", "sweep-dm", "sweep-noise"],
 )
 def test_vanishing_gaussian_duration_exits_2(tmp_path, capsys, command, unread):
